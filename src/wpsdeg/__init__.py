@@ -36,10 +36,8 @@ from .records import (
 )
 from .search import (
     ORACLE_ITERATION_CUTOFF,
-    DegenerationSolution,
     brute_force_oracle,
     enumerate_solutions,
-    is_degeneration_candidate,
 )
 from .singular import (
     CyclicQuotient,
@@ -68,7 +66,6 @@ __all__ = [
     "__version__",
     "Classification",
     "CyclicQuotient",
-    "DegenerationSolution",
     "Family",
     "MarkovTriple",
     "MutationEdge",
@@ -91,7 +88,6 @@ __all__ = [
     "from_json_obj",
     "generate_tree",
     "hypersurface_section_count",
-    "is_degeneration_candidate",
     "is_well_formed",
     "isolated_rigid_points",
     "lift",

@@ -51,90 +51,95 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return entries
 
 
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
+
+
+def _csv_weights(weights) -> str:
+    return ",".join(_strs(weights))
+
+
 def _fmt(weights) -> str:
-    return "(" + ",".join(str(a) for a in weights) + ")"
+    return "(" + _csv_weights(weights) + ")"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _table_text(header: list[str], rows: list[list[str]], notes: list[str] = ()) -> str:
-    lines = [f"note: {note}" for note in notes]
-    if rows:
-        widths = [max(len(header[i]), max(len(r[i]) for r in rows))
-                  for i in range(len(header))]
-        lines.append("  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-        for r in rows:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-    return "\n".join(lines)
+def _normalized(weights) -> tuple[WeightTuple, list[str]]:
+    """The well-formed model of the weights, plus a note when it differs."""
+    w = WeightTuple(weights)
+    wn = normalize(w)
+    return wn, [] if tuple(wn) == tuple(w) else [f"normalized to {_fmt(wn)}"]
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    for r in rows:
-        lines.append("| " + " | ".join(r) + " |")
+    lines = ["| " + " | ".join(r) + " |" for r in [header, *rows]]
+    lines.insert(1, "|" + "|".join("---" for _ in header) + "|")
     return "\n".join(lines)
 
 
-def _volume_str(record: SolutionRecord) -> str:
-    if record.volume_den == 1:
-        return str(record.volume_num)
-    return f"{record.volume_num}/{record.volume_den}"
+def _cell(value) -> str:
+    """A JSON value as a table cell: lists comma-joined, flags as yes/no."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return ",".join(value) if isinstance(value, list) else value
 
 
-def _record_display_row(record: SolutionRecord, with_moduli: bool) -> list[str]:
-    row = [
-        _fmt(record.weights),
-        str(record.sum),
-        str(record.product),
-        _volume_str(record),
-        record.classification or "-",
-        "|".join(record.rigid_points) or "-",
-        record.verdict_text,
-    ]
-    if with_moduli:
-        row.append("-" if record.moduli_dim is None else str(record.moduli_dim))
-    return row
+def _render(fmt: str, obj, header=(), rows=(), notes=(), text=None) -> str:
+    """The one text form of every result.
+
+    json dumps obj.  csv writes header and rows when there is a header.
+    Otherwise the notes come first, then text if given, else the rows as an
+    aligned table (table) or a markdown table (md), omitted when empty.
+    """
+    if fmt == "json":
+        return json.dumps(obj, indent=2, ensure_ascii=False)
+    if fmt == "csv" and header:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    lines = [f"note: {note}" for note in notes]
+    if text is not None:
+        lines.append(text)
+    elif rows and fmt == "table":
+        widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
+        for r in [header, *rows]:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    elif rows:
+        lines.append(_md_table(header, rows))
+    return "\n".join(lines)
 
 
-def _emit_records(records: list[SolutionRecord], fmt: str, out: str | None,
-                  notes: list[str]) -> None:
-    """Shared csv/table/md emitter for enumerate (many records) and classify (one)."""
+def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> int:
+    """Render a result in args.format, write it to args.out or stdout, return code."""
+    text = _render(args.format, obj, header, rows, notes, text)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
+
+
+def _record_table(records: list[SolutionRecord], fmt: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of solution records: the flat schema for csv, display otherwise."""
     if fmt == "csv":
-        _emit(_csv_text(CSV_HEADER, [to_csv_row(r) for r in records]), out)
-        return
-    with_moduli = any(r.moduli_dim is not None for r in records)
+        return CSV_HEADER, [to_csv_row(r) for r in records]
     header = ["weights", "sum", "product", "volume", "classification",
               "rigid_points", "verdict"]
-    if with_moduli:
+    rows = []
+    for r in records:
+        volume = str(r.volume_num) if r.volume_den == 1 else f"{r.volume_num}/{r.volume_den}"
+        rows.append([_fmt(r.weights), str(r.sum), str(r.product), volume,
+                     r.classification or "-", "|".join(r.rigid_points) or "-",
+                     r.verdict_text])
+    if any(r.moduli_dim is not None for r in records):
         header.append("moduli_dim")
-    rows = [_record_display_row(r, with_moduli) for r in records]
-    if fmt == "table":
-        _emit(_table_text(header, rows, notes), out)
-        return
-    lines = [f"note: {note}" for note in notes]
-    lines.append(_md_table(header, rows))
-    _emit("\n".join(lines), out)
+        for row, r in zip(rows, records):
+            row.append("-" if r.moduli_dim is None else str(r.moduli_dim))
+    return header, rows
 
 
 _LITERATURE_STATUS = [
@@ -143,7 +148,8 @@ _LITERATURE_STATUS = [
     ("(1,2,9,12)", "smoothable; sum-type family"),
     ("(1,4,10,25)", "smoothable; ℙ²-type family"),
     ("(1,4,16,27)", "not smoothable; rigid isolated point"),
-    ("(1,6,9,32)", "not smoothable; rigidity shown via a hypersurface embedding, not computed here"),
+    ("(1,6,9,32)",
+     "not smoothable; rigidity shown via a hypersurface embedding, not computed here"),
     ("(1,7,27,49)", "not smoothable; rigid isolated point"),
     ("(1,9,50,60)", "smoothable; sum-type family"),
     ("(1,22,32,121)", "not smoothable; rigidity shown via a degree-2 embedding, not computed here"),
@@ -151,273 +157,113 @@ _LITERATURE_STATUS = [
 ]
 
 
-def cmd_enumerate(args, parser) -> int:
-    if args.format == "dot":
-        parser.error("format dot is only valid for the tree subcommand")
-    if args.dim < 1:
-        parser.error("--dim must be at least 1")
-    if args.bound < 1:
-        parser.error("--bound must be at least 1")
+def cmd_enumerate(args) -> int:
     from .search import enumerate_solutions
 
-    q = args.q if args.q is not None else args.dim + 1
-    records = [record_for_solution(sol.weights, args.degree, q)
-               for sol in enumerate_solutions(args.dim, args.bound)]
-
-    if args.format == "json":
-        obj = {
-            "dim": str(args.dim),
-            "bound": str(args.bound),
-            "count": str(len(records)),
-            "solutions": [to_json_obj(r) for r in records],
-        }
-        _emit(_json_dumps(obj), args.out)
-        return 0
-    if args.format != "md":
-        _emit_records(records, args.format, args.out, [])
-        return 0
-
-    with_moduli = any(r.moduli_dim is not None for r in records)
-    header = ["weights", "sum", "product", "volume", "classification",
-              "rigid points", "verdict"]
-    if with_moduli:
-        header.append("moduli_dim")
-    rows = [_record_display_row(r, with_moduli) for r in records]
-    lines = [
-        f"# Degeneration solutions: dimension {args.dim}, max weight {args.bound}",
-        "",
-        f"wpsdeg {__version__}",
-        "",
-        f"{len(records)} solution{'s' if len(records) != 1 else ''}.",
-        "",
-        _md_table(header, rows),
-    ]
-    if args.dim == 3:
-        lines += [
-            "",
-            "## Known statuses from the literature",
-            "",
-            "Reference data quoted from published classifications of these",
-            "spaces; nothing in this section is computed by this tool.",
-            "",
-            _md_table(["space", "literature status"], [list(t) for t in _LITERATURE_STATUS]),
-        ]
-    _emit("\n".join(lines), args.out)
-    return 0
+    records = [record_for_solution(report, args.degree, args.q)
+               for report in enumerate_solutions(args.dim, args.bound)]
+    obj = {"dim": str(args.dim), "bound": str(args.bound), "count": str(len(records)),
+           "solutions": [to_json_obj(r) for r in records]}
+    header, rows = _record_table(records, args.format)
+    text = None
+    if args.format == "md":
+        header[5] = "rigid points"
+        plural = "s" if len(records) != 1 else ""
+        lines = [f"# Degeneration solutions: dimension {args.dim}, max weight {args.bound}",
+                 "", f"wpsdeg {__version__}", "", f"{len(records)} solution{plural}.", "",
+                 _md_table(header, rows)]
+        if args.dim == 3:
+            lines += ["", "## Known statuses from the literature", "",
+                      "Reference data quoted from published classifications of these",
+                      "spaces; nothing in this section is computed by this tool.", "",
+                      _md_table(["space", "literature status"], _LITERATURE_STATUS)]
+        text = "\n".join(lines)
+    return _output(args, 0, obj, header, rows, text=text)
 
 
-def cmd_classify(args, parser) -> int:
-    if args.format == "dot":
-        parser.error("format dot is only valid for the tree subcommand")
-    w = WeightTuple(args.weights)
-    wn = normalize(w)
-    notes = [] if tuple(wn) == tuple(w) else [f"normalized to {_fmt(wn)}"]
+def cmd_classify(args) -> int:
+    wn, notes = _normalized(args.weights)
     solution = satisfies_degeneration_equation(wn)
-    if solution:
-        q = args.q if args.q is not None else wn.dim + 1
-        record = record_for_solution(wn, args.degree, q)
-    else:
-        record = record_for_non_solution(wn)
-    if args.format == "json":
-        obj = {"solution": solution, "notes": notes, "record": to_json_obj(record)}
-        _emit(_json_dumps(obj), args.out)
-    else:
-        _emit_records([record], args.format, args.out, notes)
-    return 0 if solution else 1
+    record = (record_for_solution(wn, args.degree, args.q) if solution
+              else record_for_non_solution(wn))
+    obj = {"solution": solution, "notes": notes, "record": to_json_obj(record)}
+    header, rows = _record_table([record], args.format)
+    return _output(args, 0 if solution else 1, obj, header, rows, notes)
 
 
-def cmd_singular(args, parser) -> int:
-    if args.format == "dot":
-        parser.error("format dot is only valid for the tree subcommand")
-    w = WeightTuple(args.weights)
-    wn = normalize(w)
-    notes = [] if tuple(wn) == tuple(w) else [f"normalized to {_fmt(wn)}"]
+def cmd_singular(args) -> int:
+    wn, notes = _normalized(args.weights)
     strata = singular_strata(wn)
     if not strata:
         notes.append("smooth")
-
-    if args.format == "json":
-        obj = {
-            "weights": [str(a) for a in wn],
-            "notes": notes,
-            "strata": [
-                {
-                    "indices": [str(i) for i in s.indices],
-                    "dimension": str(s.dimension),
-                    "order": str(s.order),
-                    "transverse": s.transverse.notation(),
-                    "verdict": str(s.transverse.verdict),
-                    "maximal": s.maximal,
-                    "isolated": s.is_isolated_point,
-                }
-                for s in strata
-            ],
-        }
-        _emit(_json_dumps(obj), args.out)
-        return 0
-
     header = ["indices", "dimension", "order", "transverse", "verdict",
               "maximal", "isolated"]
-    rows = [
-        [
-            ",".join(str(i) for i in s.indices),
-            str(s.dimension),
-            str(s.order),
-            s.transverse.notation(),
-            str(s.transverse.verdict),
-            "yes" if s.maximal else "no",
-            "yes" if s.is_isolated_point else "no",
-        ]
-        for s in strata
-    ]
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.out)
-    elif args.format == "table":
-        _emit(_table_text(header, rows, notes), args.out)
-    else:
-        lines = [f"note: {note}" for note in notes]
-        if rows:
-            lines.append(_md_table(header, rows))
-        _emit("\n".join(lines), args.out)
-    return 0
+    entries = [dict(zip(header, (_strs(s.indices), str(s.dimension), str(s.order),
+                                 s.transverse.notation(), str(s.transverse.verdict),
+                                 s.maximal, s.is_isolated_point)))
+               for s in strata]
+    rows = [[_cell(v) for v in entry.values()] for entry in entries]
+    obj = {"weights": _strs(wn), "notes": notes, "strata": entries}
+    return _output(args, 0, obj, header, rows, notes)
 
 
-def cmd_tree(args, parser) -> int:
-    if args.max_weight < 1:
-        parser.error("--max-weight must be at least 1")
+def cmd_tree(args) -> int:
     graph = generate_tree(Family(args.family), args.max_weight)
-
+    obj = {"family": graph.family.value, "max_weight": str(args.max_weight),
+           "node_count": str(len(graph.nodes)), "edge_count": str(len(graph.edges)),
+           "cycle_rank": str(graph.cycle_rank), "is_tree": graph.is_tree,
+           "nodes": [_strs(node) for node in graph.nodes],
+           "edges": [{"src": _strs(e.src), "dst": _strs(e.dst), "fixed": _strs(e.fixed)}
+                     for e in graph.edges]}
+    nodes = [_fmt(node) for node in graph.nodes]
+    edges = [[_fmt(e.src), _fmt(e.dst), "fix" + _fmt(e.fixed)] for e in graph.edges]
     if args.format == "dot":
         lines = [f"graph {graph.family.value}_mutations {{"]
-        for node in graph.nodes:
-            lines.append(f'  "{_fmt(node)}";')
-        for edge in graph.edges:
-            label = "fix(" + ",".join(str(v) for v in edge.fixed) + ")"
-            lines.append(f'  "{_fmt(edge.src)}" -- "{_fmt(edge.dst)}" [label="{label}"];')
+        lines += [f'  "{node}";' for node in nodes]
+        lines += [f'  "{src}" -- "{dst}" [label="{label}"];' for src, dst, label in edges]
         lines.append("}")
-        _emit("\n".join(lines), args.out)
-        return 0
-
-    if args.format == "json":
-        obj = {
-            "family": graph.family.value,
-            "max_weight": str(args.max_weight),
-            "node_count": str(len(graph.nodes)),
-            "edge_count": str(len(graph.edges)),
-            "cycle_rank": str(graph.cycle_rank),
-            "is_tree": graph.is_tree,
-            "nodes": [[str(a) for a in node] for node in graph.nodes],
-            "edges": [
-                {
-                    "src": [str(a) for a in e.src],
-                    "dst": [str(a) for a in e.dst],
-                    "fixed": [str(v) for v in e.fixed],
-                }
-                for e in graph.edges
-            ],
-        }
-        _emit(_json_dumps(obj), args.out)
-        return 0
-
-    edge_rows = [
-        [_fmt(e.src), _fmt(e.dst), "fix(" + ",".join(str(v) for v in e.fixed) + ")"]
-        for e in graph.edges
-    ]
-    if args.format == "csv":
-        rows = [["node", _fmt(node), "", ""] for node in graph.nodes]
-        rows += [["edge"] + row for row in edge_rows]
-        _emit(_csv_text(["kind", "src", "dst", "fixed"], rows), args.out)
-        return 0
-
-    summary = (f"family: {graph.family.value}  max weight: {args.max_weight}  "
-               f"nodes: {len(graph.nodes)}  edges: {len(graph.edges)}  "
-               f"tree: {'yes' if graph.is_tree else 'no'}")
-    if args.format == "table":
-        lines = [summary]
-        lines += [_fmt(node) for node in graph.nodes]
-        lines += ["  ".join(row) for row in edge_rows]
-        _emit("\n".join(lines), args.out)
     else:
-        lines = [summary, ""]
-        lines.append(_md_table(["node"], [[_fmt(node)] for node in graph.nodes]))
-        if edge_rows:
-            lines.append("")
-            lines.append(_md_table(["src", "dst", "mutation"], edge_rows))
-        _emit("\n".join(lines), args.out)
-    return 0
+        lines = [f"family: {graph.family.value}  max weight: {args.max_weight}  "
+                 f"nodes: {len(graph.nodes)}  edges: {len(graph.edges)}  "
+                 f"tree: {'yes' if graph.is_tree else 'no'}"]
+        if args.format == "table":
+            lines += nodes + ["  ".join(edge) for edge in edges]
+        else:
+            lines += ["", _md_table(["node"], [[node] for node in nodes])]
+            if edges:
+                lines += ["", _md_table(["src", "dst", "mutation"], edges)]
+    rows = [["node", node, "", ""] for node in nodes] + [["edge", *edge] for edge in edges]
+    return _output(args, 0, obj, ["kind", "src", "dst", "fixed"], rows, text="\n".join(lines))
 
 
-def cmd_moduli_dim(args, parser) -> int:
-    if args.format == "dot":
-        parser.error("format dot is only valid for the tree subcommand")
-    if args.degree < 1:
-        parser.error("--degree must be at least 1")
-    w = WeightTuple(args.weights)
-    wn = normalize(w)
-    notes = [] if tuple(wn) == tuple(w) else [f"normalized to {_fmt(wn)}"]
+def cmd_moduli_dim(args) -> int:
+    wn, notes = _normalized(args.weights)
     q = args.q if args.q is not None else wn.dim + 1
-    if q < 1:
-        parser.error("--q must be at least 1")
-
-    base = {"weights": [str(a) for a in wn], "degree": str(args.degree), "q": str(q)}
+    obj = {"weights": _strs(wn), "degree": str(args.degree), "q": str(q), "notes": notes}
     try:
         value = moduli_component_dimension(wn, args.degree, q)
     except NonIntegralDegreeError as exc:
-        message = str(exc)
-        if args.format == "json":
-            _emit(_json_dumps({**base, "notes": notes, "error": message}), args.out)
-        elif args.format == "csv":
-            _emit(_csv_text(["weights", "degree", "q", "error"],
-                            [[",".join(str(a) for a in wn), str(args.degree), str(q), message]]),
-                  args.out)
-        else:
-            _emit("\n".join([f"note: {n}" for n in notes] + [f"error: {message}"]), args.out)
-        return 1
-
-    if args.format == "json":
-        _emit(_json_dumps({**base, "notes": notes, "moduli_dim": str(value)}), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["weights", "degree", "q", "moduli_dim"],
-                        [[",".join(str(a) for a in wn), str(args.degree), str(q), str(value)]]),
-              args.out)
-    elif args.format == "table":
-        _emit("\n".join([f"note: {n}" for n in notes] + [str(value)]), args.out)
+        key, value, code, text = "error", str(exc), 1, f"error: {exc}"
     else:
-        _emit("\n".join(
-            [f"note: {n}" for n in notes]
-            + [f"moduli component dimension of degree-{args.degree} divisors "
-               f"on {_fmt(wn)} at q={q}: **{value}**"]), args.out)
-    return 0
+        key, code = "moduli_dim", 0
+        text = str(value) if args.format == "table" else (
+            f"moduli component dimension of degree-{args.degree} divisors "
+            f"on {_fmt(wn)} at q={q}: **{value}**")
+    obj[key] = str(value)
+    row = [_csv_weights(wn), str(args.degree), str(q), str(value)]
+    return _output(args, code, obj, ["weights", "degree", "q", key], [row], notes, text)
 
 
-def cmd_lift(args, parser) -> int:
-    if args.format == "dot":
-        parser.error("format dot is only valid for the tree subcommand")
+def cmd_lift(args) -> int:
     w = WeightTuple(args.weights)
+    obj = {"weights": _strs(w)}
     if not satisfies_degeneration_equation(w):
         message = f"{_fmt(w)} is not a dimension-{w.dim} solution"
-        if args.format == "json":
-            _emit(_json_dumps({"weights": [str(a) for a in w], "error": message}), args.out)
-        else:
-            _emit(message, args.out)
-        return 1
+        return _output(args, 1, {**obj, "error": message}, text=message)
     lifted = lift(w)
-    if lifted is None:
-        if args.format == "json":
-            _emit(_json_dumps({"weights": [str(a) for a in w], "lifted": None}), args.out)
-        else:
-            _emit("no integral lift", args.out)
-        return 0
-    if args.format == "json":
-        _emit(_json_dumps({"weights": [str(a) for a in w],
-                           "lifted": [str(a) for a in lifted]}), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["weights", "lifted"],
-                        [[",".join(str(a) for a in w), ",".join(str(a) for a in lifted)]]),
-              args.out)
-    else:
-        _emit(_fmt(lifted), args.out)
-    return 0
+    return _output(args, 0, {**obj, "lifted": _strs(lifted)},
+                   ["weights", "lifted"], [[_csv_weights(w), _csv_weights(lifted)]],
+                   text=_fmt(lifted))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,56 +275,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wpsdeg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-
     p = sub.add_parser("enumerate", help="all well-formed solutions up to a bound")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--degree", type=int, default=None,
                    help="also report moduli dimensions for divisors of this degree")
     p.add_argument("--q", type=int, default=None, help="pairing denominator (default dim+1)")
-    add_common(p)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("classify", help="family membership and smoothability of one tuple")
     p.add_argument("weights", type=_parse_weights)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    add_common(p)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("singular", help="singular strata with transverse types and verdicts")
     p.add_argument("weights", type=_parse_weights)
-    add_common(p)
     p.set_defaults(handler=cmd_singular)
 
     p = sub.add_parser("tree", help="mutation graph of a family up to a weight bound")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
-    add_common(p)
     p.set_defaults(handler=cmd_tree)
 
     p = sub.add_parser("lift", help="lift a dimension-n solution one dimension up")
     p.add_argument("weights", type=_parse_weights)
-    add_common(p)
     p.set_defaults(handler=cmd_lift)
 
     p = sub.add_parser("moduli-dim", help="moduli component dimension for divisors")
     p.add_argument("--weights", type=_parse_weights, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    add_common(p)
     p.set_defaults(handler=cmd_moduli_dim)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="table")
+        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
+
+
+# Options that must be positive when given, checked in this order.
+_AT_LEAST_ONE = ("dim", "bound", "max_weight", "degree", "q")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    if args.format == "dot" and args.command != "tree":
+        parser.error("format dot is only valid for the tree subcommand")
+    for name in _AT_LEAST_ONE:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            parser.error(f"--{name.replace('_', '-')} must be at least 1")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

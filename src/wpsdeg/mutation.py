@@ -203,20 +203,18 @@ def sum_type_decompose(quad: SumQuadruple) -> tuple[int, int, int]:
     raise ValueError(f"{quad.as_tuple()} admits no (alpha^2, beta^2, 2 gamma^2) decomposition")
 
 
-def lift(weights) -> WeightTuple | None:
+def lift(weights) -> WeightTuple:
     """Lift a dimension-n solution to a dimension-(n+1) solution.
 
-    A solution forces sum(a_i) = (n+1) * m with prod(a_i) = m^n; appending
+    A solution forces sum(a_i) = (n+1) * m with prod(a_i) = m^n: since
+    (n+1)^n divides s^n for s = sum(a_i), every prime power p^e exactly
+    dividing n+1 has p^(e*n) | s^n, so p^e | s, hence (n+1) | s.  Appending
     b = m yields a solution one dimension up, which is asserted exactly.
-    Returns None if sum(a_i) is not divisible by n+1 (cannot happen for a
-    genuine solution, kept as a guard); raises if the input is not a
-    solution at all.
+    Raises if the input is not a solution.
     """
     w = WeightTuple(weights)
     if not satisfies_degeneration_equation(w):
         raise ValueError(f"{tuple(w)} is not a dimension-{w.dim} degeneration solution")
-    if w.total % (w.dim + 1) != 0:
-        return None
     lifted = WeightTuple(tuple(w) + (w.total // (w.dim + 1),))
     assert satisfies_degeneration_equation(lifted)
     return lifted

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .singular import smoothability_report
+from .singular import SmoothabilityReport, smoothability_report
 from .weights import (
     NonIntegralDegreeError,
     WeightTuple,
@@ -56,23 +56,26 @@ def _base_fields(w: WeightTuple) -> dict:
     }
 
 
-def record_for_solution(weights, degree: int | None = None,
+def record_for_solution(solution, degree: int | None = None,
                         q: int | None = None) -> SolutionRecord:
     """Full record for a well-formed solution; moduli_dim when degree given.
 
-    q defaults to dim+1.  A divisor degree that is not integral for these
-    weights leaves moduli_dim as None rather than failing the whole record.
+    solution is a SmoothabilityReport, reused as is, or a weight tuple,
+    analysed here.  q defaults to dim+1.  A divisor degree that is not
+    integral for these weights leaves moduli_dim as None rather than failing
+    the whole record.
     """
-    w = WeightTuple(weights)
-    report = smoothability_report(w)
+    if isinstance(solution, SmoothabilityReport):
+        report = solution
+    else:
+        report = smoothability_report(solution)
+    w = report.weights
     moduli_dim = None
     if degree is not None:
-        if q is None:
-            q = w.dim + 1
         try:
-            moduli_dim = moduli_component_dimension(w, degree, q)
+            moduli_dim = moduli_component_dimension(w, degree, w.dim + 1 if q is None else q)
         except NonIntegralDegreeError:
-            moduli_dim = None
+            pass
     return SolutionRecord(
         classification=str(report.classification) if report.classification else None,
         rigid_points=tuple(s.transverse.notation() for s in report.rigid_points),

@@ -18,41 +18,13 @@ almost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-
-from .mutation import Classification, classify_solution
-from .singular import isolated_rigid_points
-from .weights import WeightTuple, is_well_formed, satisfies_degeneration_equation
+from .mutation import classify_solution
+from .singular import SmoothabilityReport, isolated_rigid_points
+from .weights import WeightTuple, is_well_formed
 
 # The unpruned oracle walks every ascending tuple; refuse anything that would
 # take more than about bound^(n+1) ~ 1e9 loop steps.
 ORACLE_ITERATION_CUTOFF = 10 ** 9
-
-
-@dataclass(frozen=True)
-class DegenerationSolution:
-    """One well-formed solution tuple plus its computed annotations.
-
-    classification is None for dimensions other than 3; the two mutation
-    families are three-dimensional phenomena.  rigid is True when the space
-    has an isolated quotient singularity in dimension >= 3 (a smoothability
-    obstruction); always False in dimension < 3 where that criterion does
-    not apply.
-    """
-
-    weights: WeightTuple
-    classification: Classification | None
-    rigid: bool
-
-    @property
-    def dim(self) -> int:
-        return self.weights.dim
-
-
-def is_degeneration_candidate(weights) -> bool:
-    """Exact check of the degeneration equation for the given tuple."""
-    return satisfies_degeneration_equation(weights)
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -110,11 +82,12 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def enumerate_solutions(n: int, bound: int) -> list[DegenerationSolution]:
+def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:
     """All well-formed solutions of dimension n with max weight <= bound.
 
-    Returns canonical tuples sorted lexicographically, each annotated with
-    its family classification (dimension 3 only) and rigidity flag.
+    Returns one report per solution, sorted lexicographically by canonical
+    tuple, each carrying its family classification (dimension 3 only) and
+    its rigid points (dimension >= 3 only).
     Raw solutions that are not well-formed are discarded, not normalized:
     normalization changes sum and product, so the normalized tuple would not
     satisfy the equation.
@@ -128,9 +101,11 @@ def enumerate_solutions(n: int, bound: int) -> list[DegenerationSolution]:
         w = WeightTuple(raw)
         if not is_well_formed(w):
             continue
-        classification = classify_solution(w) if n == 3 else None
-        rigid = bool(isolated_rigid_points(w)) if n >= 3 else False
-        solutions.append(DegenerationSolution(w, classification, rigid))
+        solutions.append(SmoothabilityReport(
+            w,
+            classify_solution(w) if n == 3 else None,
+            tuple(isolated_rigid_points(w)) if n >= 3 else (),
+        ))
     return solutions
 
 

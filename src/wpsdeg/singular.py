@@ -186,50 +186,54 @@ def isolated_rigid_points(weights) -> list[SingularStratum]:
     return points
 
 
+_FAMILY_VERDICTS = {
+    Classification.P2_TYPE: "smoothable (ℙ²-type family)",
+    Classification.SUM_TYPE: "smoothable (sum-type family)",
+    Classification.BOTH: "smoothable (ℙ²-type and sum-type families)",
+}
+
+
 @dataclass(frozen=True)
 class SmoothabilityReport:
+    """One well-formed solution with its analysis, computed once.
+
+    classification is None outside dimension 3, where the two mutation
+    families do not exist; rigid_points is empty below dimension 3, where
+    isolated points do not obstruct smoothing.  Membership in a mutation
+    family means smoothable, a rigid point means not smoothable, otherwise
+    the verdict is unknown (this tool encodes no further obstructions).
+    Family membership and rigidity are mutually exclusive on sound inputs;
+    the conflict is checked on construction rather than assumed.
+    """
+
     weights: WeightTuple
-    strata: tuple[SingularStratum, ...]
-    rigid_points: tuple[SingularStratum, ...]
     classification: Classification | None
-    verdict_text: str
+    rigid_points: tuple[SingularStratum, ...]
+
+    def __post_init__(self):
+        if self.classification in _FAMILY_VERDICTS and self.rigid_points:
+            raise RuntimeError(
+                f"{tuple(self.weights)} classifies as {self.classification} yet has rigid "
+                f"points {[s.transverse.notation() for s in self.rigid_points]}; mutation "
+                "families are smoothable, so one of the two computations is wrong"
+            )
+
+    @property
+    def verdict_text(self) -> str:
+        if self.classification in _FAMILY_VERDICTS:
+            return _FAMILY_VERDICTS[self.classification]
+        return "not smoothable (rigid point)" if self.rigid_points else "unknown"
 
 
 def smoothability_report(weights) -> SmoothabilityReport:
-    """Assemble strata, rigid points and family membership into one verdict.
-
-    Verdicts: membership in a mutation family means smoothable; a rigid
-    point means not smoothable; otherwise unknown (this tool encodes no
-    further obstructions).  Family membership and rigidity are mutually
-    exclusive on sound inputs, and the conflict is checked rather than
-    assumed.  Family classification exists only in dimension 3; other
-    dimensions report it as None.
-    """
+    """Validate a solution tuple and analyse it: family and rigid points."""
     w = WeightTuple(weights)
     if not is_well_formed(w):
         raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
     if not satisfies_degeneration_equation(w):
         raise ValueError(f"{tuple(w)} is not a degeneration solution")
-    strata = tuple(singular_strata(w))
-    rigid = tuple(isolated_rigid_points(w)) if w.dim >= 3 else ()
-    classification = classify_solution(w) if w.dim == 3 else None
-
-    if classification in (Classification.P2_TYPE, Classification.SUM_TYPE,
-                          Classification.BOTH) and rigid:
-        raise RuntimeError(
-            f"{tuple(w)} classifies as {classification} yet has rigid points "
-            f"{[s.transverse.notation() for s in rigid]}; mutation families are "
-            "smoothable, so one of the two computations is wrong"
-        )
-
-    if classification is Classification.P2_TYPE:
-        verdict = "smoothable (ℙ²-type family)"
-    elif classification is Classification.SUM_TYPE:
-        verdict = "smoothable (sum-type family)"
-    elif classification is Classification.BOTH:
-        verdict = "smoothable (ℙ²-type and sum-type families)"
-    elif rigid:
-        verdict = "not smoothable (rigid point)"
-    else:
-        verdict = "unknown"
-    return SmoothabilityReport(w, strata, rigid, classification, verdict)
+    return SmoothabilityReport(
+        w,
+        classify_solution(w) if w.dim == 3 else None,
+        tuple(isolated_rigid_points(w)) if w.dim >= 3 else (),
+    )

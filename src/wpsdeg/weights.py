@@ -165,9 +165,11 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
 
     `divisor_ratio` is the q above; pass n+1 for degenerations of P^n.
     Raises NonIntegralDegreeError when q does not divide d * sum(a_i), i.e.
-    no such divisor class pairing exists.
+    no such divisor class pairing exists, and ValueError when q < 1.
     """
     w = WeightTuple(weights)
+    if divisor_ratio < 1:
+        raise ValueError(f"divisor ratio q must be at least 1, got {divisor_ratio}")
     numerator = degree * w.total
     if numerator % divisor_ratio != 0:
         raise NonIntegralDegreeError(

@@ -268,5 +268,74 @@ class TestModuliDim:
         assert run_usage_error(capsys, "moduli-dim", "--weights", "1,1,1,1") == 2
 
 
+class TestPositiveOptions:
+    """--degree and --q are checked alike wherever they are accepted."""
+
+    CASES = [
+        (["enumerate", "--dim", "3", "--bound", "4", "--degree", "5", "--q", "0"], "--q"),
+        (["enumerate", "--dim", "3", "--bound", "4", "--q", "-4"], "--q"),
+        (["enumerate", "--dim", "3", "--bound", "4", "--degree", "0"], "--degree"),
+        (["classify", "1,1,1,1", "--degree", "5", "--q", "0"], "--q"),
+        (["classify", "1,1,1,1", "--degree", "0"], "--degree"),
+        (["classify", "1,1,1,1", "--degree", "-3"], "--degree"),
+        (["classify", "1,1,1,1", "--degree", "5", "--q", "-4"], "--q"),
+        (["moduli-dim", "--weights", "1,1,1,1", "--degree", "0"], "--degree"),
+        (["moduli-dim", "--weights", "1,1,1,1", "--degree", "5", "--q", "0"], "--q"),
+    ]
+
+    @pytest.mark.parametrize("argv,option", CASES)
+    def test_rejected_with_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"error: {option} must be at least 1")
+
+    def test_dot_rejected_with_message(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "1,1,1,1", "--format", "dot"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "error: format dot is only valid for the tree subcommand")
+
+    def test_positive_values_still_accepted(self, capsys):
+        code, out = run(capsys, "classify", "1,1,1,1", "--degree", "1", "--q", "1")
+        assert code == 0
+        assert "moduli_dim" in out
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run_usage_error(capsys) == 2
+
+
+class TestEachTupleAnalysedOnce:
+    """The CLI reuses the search's analysis instead of redoing it per record."""
+
+    @pytest.fixture
+    def strata_calls(self, monkeypatch):
+        import wpsdeg.singular
+
+        calls = []
+        original = wpsdeg.singular.singular_strata
+
+        def counting(weights):
+            calls.append(tuple(weights))
+            return original(weights)
+
+        monkeypatch.setattr(wpsdeg.singular, "singular_strata", counting)
+        return calls
+
+    def test_enumerate_one_strata_call_per_solution(self, capsys, strata_calls):
+        code, out = run(capsys, "enumerate", "--dim", "4", "--bound", "300",
+                        "--degree", "5", "--format", "md")
+        assert code == 0
+        assert "98 solutions." in out
+        assert len(strata_calls) == 98
+        assert len(set(strata_calls)) == 98
+
+    @pytest.mark.parametrize("weights", ["1,1,2,4", "1,4,16,27", "3,4,63,98"])
+    def test_classify_at_most_one_strata_call(self, capsys, strata_calls, weights):
+        code, _ = run(capsys, "classify", weights, "--degree", "5")
+        assert code == 0
+        assert len(strata_calls) <= 1

@@ -12,7 +12,6 @@ from wpsdeg import (
     WeightTuple,
     classify_solution,
     generate_tree,
-    is_degeneration_candidate,
     lift,
     markov_mutate,
     p2_type_tuple,
@@ -124,7 +123,7 @@ class TestP2TypeTuple:
     @settings(max_examples=100, deadline=None)
     def test_always_a_solution(self, seed, steps):
         node = random_markov_walk(seed, steps)
-        assert is_degeneration_candidate(p2_type_tuple(node))
+        assert satisfies_degeneration_equation(p2_type_tuple(node))
 
 
 class TestClassify:

@@ -12,21 +12,21 @@ from wpsdeg import (
     anticanonical_volume,
     brute_force_oracle,
     enumerate_solutions,
-    is_degeneration_candidate,
     is_well_formed,
+    satisfies_degeneration_equation,
 )
 
 
 class TestCandidateCheck:
     def test_known_solution(self):
-        assert is_degeneration_candidate(WeightTuple((1, 1, 2, 4)))
+        assert satisfies_degeneration_equation(WeightTuple((1, 1, 2, 4)))
 
     def test_near_miss(self):
         # 64*2 = 128 while 5^3 = 125
-        assert not is_degeneration_candidate(WeightTuple((1, 1, 1, 2)))
+        assert not satisfies_degeneration_equation(WeightTuple((1, 1, 1, 2)))
 
     def test_sporadic_solution(self):
-        assert is_degeneration_candidate(WeightTuple((3, 4, 63, 98)))
+        assert satisfies_degeneration_equation(WeightTuple((3, 4, 63, 98)))
 
 
 class TestEnumerate:
@@ -53,18 +53,18 @@ class TestEnumerate:
 
     def test_rigidity_annotations(self):
         by_weights = {tuple(s.weights): s for s in enumerate_solutions(3, 125)}
-        rigid = {w for w, s in by_weights.items() if s.rigid}
+        rigid = {w for w, s in by_weights.items() if s.rigid_points}
         assert {(1, 4, 16, 27), (1, 7, 27, 49)} <= rigid
 
     def test_dim2_has_no_classification(self):
         for s in enumerate_solutions(2, 30):
             assert s.classification is None
-            assert s.rigid is False
+            assert s.rigid_points == ()
 
     def test_every_result_valid(self):
         for s in enumerate_solutions(3, 125):
             assert is_well_formed(s.weights)
-            assert is_degeneration_candidate(s.weights)
+            assert satisfies_degeneration_equation(s.weights)
 
     def test_both_only_at_1124(self):
         for s in enumerate_solutions(3, 125):

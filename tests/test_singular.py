@@ -199,7 +199,7 @@ class TestSmoothabilityReport:
 
     def test_rigid_points_subset_of_strata(self):
         report = smoothability_report(WeightTuple((1, 4, 16, 27)))
-        assert set(report.rigid_points) <= set(report.strata)
+        assert set(report.rigid_points) <= set(singular_strata(report.weights))
         for s in report.rigid_points:
             assert s.dimension == 0
 

@@ -164,6 +164,13 @@ class TestModuliComponentDimension:
         with pytest.raises(ValueError):
             moduli_component_dimension(WeightTuple((1, 1, 1, 1)), 1, 3)
 
+    @pytest.mark.parametrize("q", [0, -4])
+    def test_rejects_ratio_below_one(self, q):
+        # q = 0 would divide by zero, and a negative q has no meaning as a pairing
+        with pytest.raises(ValueError, match="at least 1") as info:
+            moduli_component_dimension(WeightTuple((1, 1, 1, 1)), 5, q)
+        assert not isinstance(info.value, NonIntegralDegreeError)
+
 
 class TestHypersurfaceSectionCount:
     def test_quadric_sections(self):
