@@ -268,9 +268,7 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
     if family is Family.MARKOV:
         root = MarkovTriple(*_MARKOV_ROOT)
         moves = (0, 1, 2)
-
-        def apply(node, move):
-            return markov_mutate(node, move)
+        apply = markov_mutate
 
         def fixed_values(node, move):
             entries = node.as_tuple()
@@ -278,9 +276,7 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
     else:
         root = SumQuadruple(*_SUM_ROOT)
         moves = ((0, 1), (0, 2), (1, 2))
-
-        def apply(node, move):
-            return sum_mutate(node, move)
+        apply = sum_mutate
 
         def fixed_values(node, move):
             entries = node.as_tuple()
@@ -296,10 +292,8 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
         node = queue.popleft()
         here = node.canonical()
         for move in moves:
-            try:
-                neighbor = apply(node, move)
-            except ValueError:
-                continue
+            # roots multiply to q^2 + r^2 or (a + b)^2 > 0, so a valid node never raises
+            neighbor = apply(node, move)
             there = neighbor.canonical()
             if there == here or max(there) > max_weight:
                 continue

@@ -13,7 +13,9 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 Every a_i therefore divides m^n.  For each m up to the bound we enumerate
 ascending tuples of divisors of m^n with the prescribed sum and product;
 the divisibility and sum/product window constraints cut the tree down to
-almost nothing.
+almost nothing.  The last weight is never searched: with one slot left it
+must equal both the remaining sum and the remaining product, so a branch
+yields a solution exactly when those two agree.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ def _divisors_bounded(factors: dict[int, int], bound: int) -> list[int]:
 
 def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
-    well-formed or not."""
+    well-formed or not.  The two-slot level keeps the forced last weight in
+    range (2a <= sum_left makes it >= a, rest <= bound bounds it), and each m
+    has its own sum and the ascending walk visits a tuple once: no duplicates."""
     out: list[tuple[int, ...]] = []
     slots_total = n + 1
     for m in range(1, bound + 1):
@@ -58,9 +62,9 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
         divs = _divisors_bounded(factors, bound)
 
         def extend(start: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            if slots == 0:
-                if sum_left == 0 and prod_left == 1:
-                    out.append(tuple(acc))
+            if slots == 1:
+                if sum_left == prod_left:
+                    out.append((*acc, sum_left))
                 return
             for idx in range(start, len(divs)):
                 a = divs[idx]
@@ -72,14 +76,14 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
                 rest = prod_left // a
                 if rest > bound ** (slots - 1):
                     continue
-                if slots > 1 and rest < a ** (slots - 1):
+                if rest < a ** (slots - 1):
                     continue
                 acc.append(a)
                 extend(idx, slots - 1, sum_left - a, rest, acc)
                 acc.pop()
 
         extend(0, slots_total, slots_total * m, target_prod, [])
-    return sorted(set(out))
+    return sorted(out)
 
 
 def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:

@@ -80,20 +80,21 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
     Elements acting as the identity (all residues 0) or as a quasi-reflection
     (all residues 0 except one) are rejected: such data does not describe an
     honest quotient singularity germ and cannot come from singular_strata on
-    well-formed input.
+    well-formed input.  Admissibility is decided by gcds before any age is
+    summed: with g_i = gcd(r, w_j : j != i), element k has at most one nonzero
+    residue exactly when r / g_i divides k for some i, so the first offending
+    element is k = min(r / g_i) over the i with g_i > 1.
     """
     r = germ.order
-    min_numerator = None
-    for k in range(1, r):
-        residues = [(k * w) % r for w in germ.weights]
-        nonzero = sum(1 for x in residues if x)
-        if nonzero == 0:
+    ws = germ.weights
+    cofactor_gcds = [gcd(r, *ws[:i], *ws[i + 1:]) for i in range(len(ws))]
+    offending = [r // g for g in cofactor_gcds if g > 1]
+    if offending:
+        k = min(offending)
+        if all((k * w) % r == 0 for w in ws):
             raise ValueError(f"{germ.notation()}: element {k} acts as the identity")
-        if nonzero == 1:
-            raise ValueError(f"{germ.notation()}: element {k} is a quasi-reflection")
-        numerator = sum(residues)
-        if min_numerator is None or numerator < min_numerator:
-            min_numerator = numerator
+        raise ValueError(f"{germ.notation()}: element {k} is a quasi-reflection")
+    min_numerator = min(sum((k * w) % r for w in ws) for k in range(1, r))
     if min_numerator > r:
         return Verdict.TERMINAL
     if min_numerator == r:

@@ -16,7 +16,6 @@ on equality boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, prod
 
 
@@ -53,42 +52,33 @@ class WeightTuple(tuple):
         return f"WeightTuple({tuple(self)})"
 
 
+def _cofactor_gcds(weights) -> list[int]:
+    """d_i = gcd(a_j : j != i) for each position i."""
+    return [gcd(*weights[:i], *weights[i + 1:]) for i in range(len(weights))]
+
+
 def is_well_formed(weights: WeightTuple) -> bool:
-    """True iff every n of the n+1 weights are coprime."""
-    w = WeightTuple(weights)
-    for sub in combinations(w, len(w) - 1):
-        if gcd(*sub) != 1:
-            return False
-    return True
+    """True iff every n of the n+1 weights are coprime, i.e. every d_i = 1."""
+    return all(d == 1 for d in _cofactor_gcds(WeightTuple(weights)))
 
 
 def normalize(weights) -> WeightTuple:
     """Reduce a weight tuple to the well-formed model of the same space.
 
-    Two reductions apply, each an isomorphism of the underlying variety:
-
-    * divide every weight by the gcd of all of them (grading rescale);
-    * if the weights other than a_i share a common factor q > 1, divide each
-      of them by q (valid once the total gcd is 1, which makes q coprime
-      to a_i).
-
-    Repeating until neither applies yields the unique well-formed sorted
-    tuple; the function is idempotent.
+    Closed form (Dolgachev, *Weighted projective varieties*; Iano-Fletcher,
+    *Working with weighted complete intersections*): divide every weight by
+    the gcd of all of them, then with d_i = gcd(a_j : j != i) replace a_i by
+    a_i / prod(d_j : j != i).  The division is exact because the d_i are
+    pairwise coprime and d_j divides a_i for j != i; the result is
+    well-formed because any n of the new weights have a gcd dividing
+    gcd(a_j / d_i : j != i) = 1.  The function is idempotent.
     """
-    ws = list(WeightTuple(weights))
-    changed = True
-    while changed:
-        changed = False
-        g = gcd(*ws)
-        if g > 1:
-            ws = [a // g for a in ws]
-            changed = True
-        for i in range(len(ws)):
-            q = gcd(*(ws[j] for j in range(len(ws)) if j != i))
-            if q > 1:
-                ws = [a if j == i else a // q for j, a in enumerate(ws)]
-                changed = True
-    return WeightTuple(ws)
+    w = WeightTuple(weights)
+    g = gcd(*w)
+    ws = [a // g for a in w]
+    d = _cofactor_gcds(ws)
+    whole = prod(d)
+    return WeightTuple(a // (whole // d_i) for a, d_i in zip(ws, d))
 
 
 def satisfies_degeneration_equation(weights) -> bool:
@@ -165,9 +155,11 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
 
     `divisor_ratio` is the q above; pass n+1 for degenerations of P^n.
     Raises NonIntegralDegreeError when q does not divide d * sum(a_i), i.e.
-    no such divisor class pairing exists, and ValueError when q < 1.
+    no such divisor class pairing exists, and ValueError when d < 1 or q < 1.
     """
     w = WeightTuple(weights)
+    if degree < 1:
+        raise ValueError(f"degree d must be at least 1, got {degree}")
     if divisor_ratio < 1:
         raise ValueError(f"divisor ratio q must be at least 1, got {divisor_ratio}")
     numerator = degree * w.total

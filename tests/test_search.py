@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from conftest import FOUND_AT_125, TABLE_TEN
 from wpsdeg import (
     Classification,
+    MarkovTriple,
     ORACLE_ITERATION_CUTOFF,
     WeightTuple,
     anticanonical_volume,
     brute_force_oracle,
     enumerate_solutions,
+    generate_tree,
     is_well_formed,
+    p2_type_tuple,
     satisfies_degeneration_equation,
 )
 
@@ -126,3 +129,26 @@ class TestOracle:
         oracle = [tuple(w) for w in brute_force_oracle(3, 125)]
         assert oracle == FOUND_AT_125
         assert set(TABLE_TEN) < set(oracle)
+
+
+class TestTreeCompleteness:
+    """Mutation trees as an oracle at a bound brute force cannot reach."""
+
+    BOUND = 2000
+
+    def test_family_solutions_are_the_tree_nodes(self):
+        found = {tuple(s.weights): s for s in enumerate_solutions(3, self.BOUND)}
+        p2_type = {tuple(p2_type_tuple(MarkovTriple(*node)))
+                   for node in generate_tree("markov", self.BOUND).nodes}
+        p2_type = {w for w in p2_type if max(w) <= self.BOUND}
+        sum_type = set(generate_tree("sum", self.BOUND).nodes)
+        assert (len(p2_type), len(sum_type)) == (6, 7)
+        assert p2_type <= set(found)
+        assert sum_type <= set(found)
+        p2_classes = {Classification.P2_TYPE, Classification.BOTH}
+        sum_classes = {Classification.SUM_TYPE, Classification.BOTH}
+        assert all(found[w].classification in p2_classes for w in p2_type)
+        assert all(found[w].classification in sum_classes for w in sum_type)
+        family = {w for w, s in found.items()
+                  if s.classification is not Classification.SPORADIC}
+        assert family == p2_type | sum_type

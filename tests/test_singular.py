@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -19,6 +20,34 @@ from wpsdeg import (
 
 well_formed_tuples = st.lists(st.integers(1, 60), min_size=3, max_size=5).map(
     lambda entries: normalize(entries))
+
+
+def element_scan_classify(germ):
+    """Reference for the gcd test: inspect every group element in turn."""
+    r = germ.order
+    min_numerator = None
+    for k in range(1, r):
+        residues = [(k * w) % r for w in germ.weights]
+        nonzero = sum(1 for x in residues if x)
+        if nonzero == 0:
+            raise ValueError(f"{germ.notation()}: element {k} acts as the identity")
+        if nonzero == 1:
+            raise ValueError(f"{germ.notation()}: element {k} is a quasi-reflection")
+        numerator = sum(residues)
+        if min_numerator is None or numerator < min_numerator:
+            min_numerator = numerator
+    if min_numerator > r:
+        return Verdict.TERMINAL
+    if min_numerator == r:
+        return Verdict.STRICTLY_CANONICAL
+    return Verdict.STRICTLY_KLT
+
+
+def verdict_or_error(classify, germ):
+    try:
+        return classify(germ)
+    except ValueError as error:
+        return str(error)
 
 
 class TestCyclicQuotient:
@@ -58,6 +87,14 @@ class TestReidTai:
         # order 6 on residues (2,4): k=3 sends both to 0
         with pytest.raises(ValueError):
             reid_tai_classify(CyclicQuotient(6, (2, 4)))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_element_scan_on_every_small_germ(self, size):
+        for order in range(2, 17):
+            for residues in combinations_with_replacement(range(1, order), size):
+                germ = CyclicQuotient(order, residues)
+                assert (verdict_or_error(reid_tai_classify, germ)
+                        == verdict_or_error(element_scan_classify, germ)), germ
 
     def test_verdict_property_is_cached_value(self):
         q = CyclicQuotient(27, (1, 4, 16))

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,24 @@ from wpsdeg import (
 )
 
 weight_lists = st.lists(st.integers(1, 125), min_size=2, max_size=6)
+
+
+def fixpoint_normalize(weights):
+    """Reference for the closed form: apply both reductions until neither does."""
+    ws = sorted(weights)
+    changed = True
+    while changed:
+        changed = False
+        g = gcd(*ws)
+        if g > 1:
+            ws = [a // g for a in ws]
+            changed = True
+        for i in range(len(ws)):
+            q = gcd(*(ws[j] for j in range(len(ws)) if j != i))
+            if q > 1:
+                ws = [a if j == i else a // q for j, a in enumerate(ws)]
+                changed = True
+    return tuple(sorted(ws))
 
 
 class TestWeightTuple:
@@ -70,6 +89,15 @@ class TestNormalize:
     @given(weight_lists)
     def test_output_well_formed(self, entries):
         assert is_well_formed(normalize(entries))
+
+    @pytest.mark.parametrize("size,top", [(2, 24), (3, 24), (4, 12)])
+    def test_matches_fixpoint_on_every_small_tuple(self, size, top):
+        for entries in combinations_with_replacement(range(1, top + 1), size):
+            assert tuple(normalize(entries)) == fixpoint_normalize(entries), entries
+
+    @given(weight_lists)
+    def test_matches_fixpoint(self, entries):
+        assert tuple(normalize(entries)) == fixpoint_normalize(entries)
 
 
 class TestVolume:
@@ -169,6 +197,13 @@ class TestModuliComponentDimension:
         # q = 0 would divide by zero, and a negative q has no meaning as a pairing
         with pytest.raises(ValueError, match="at least 1") as info:
             moduli_component_dimension(WeightTuple((1, 1, 1, 1)), 5, q)
+        assert not isinstance(info.value, NonIntegralDegreeError)
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_rejects_degree_below_one(self, degree):
+        # no divisor class has degree below 1; the count would come out negative
+        with pytest.raises(ValueError, match="at least 1") as info:
+            moduli_component_dimension(WeightTuple((1, 1, 1, 1)), degree, 4)
         assert not isinstance(info.value, NonIntegralDegreeError)
 
 
