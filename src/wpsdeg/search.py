@@ -13,12 +13,15 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 Every a_i therefore divides m^n.  For each m up to the bound we enumerate
 ascending tuples of divisors of m^n with the prescribed sum and product;
 the divisibility and sum/product window constraints cut the tree down to
-almost nothing.  The last weight is never searched: with one slot left it
-must equal both the remaining sum and the remaining product, so a branch
-yields a solution exactly when those two agree.
+almost nothing.  The last two weights are never searched: once all others
+are fixed, the remaining sum S and product P make them the roots x <= y of
+t^2 - S*t + P, so one integer square root of S^2 - 4P decides the branch
+(`_raw_solutions` says why it needs no parity check and two range checks).
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .mutation import classify_solution
 from .singular import SmoothabilityReport, isolated_rigid_points
@@ -51,9 +54,12 @@ def _divisors_bounded(factors: dict[int, int], bound: int) -> list[int]:
 
 def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
-    well-formed or not.  The two-slot level keeps the forced last weight in
-    range (2a <= sum_left makes it >= a, rest <= bound bounds it), and each m
-    has its own sum and the ascending walk visits a tuple once: no duplicates."""
+    well-formed or not.  The last two weights x <= y are the roots of
+    t^2 - S*t + P (remaining sum and product); no parity check is needed, as
+    the root of S^2 - 4P has the parity of S.  Since x * y = P divides m^n and
+    x <= y <= bound, x is a walked divisor, so x >= divs[start] (the walk stays
+    ascending) and y <= bound are the only range checks.  Each m has its own
+    sum and the ascending walk visits a tuple once: no duplicates."""
     out: list[tuple[int, ...]] = []
     slots_total = n + 1
     for m in range(1, bound + 1):
@@ -62,9 +68,16 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
         divs = _divisors_bounded(factors, bound)
 
         def extend(start: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            if slots == 1:
-                if sum_left == prod_left:
-                    out.append((*acc, sum_left))
+            if slots == 2:
+                disc = sum_left * sum_left - 4 * prod_left
+                if disc < 0:
+                    return
+                root = isqrt(disc)
+                if root * root == disc:
+                    # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
+                    x, y = (sum_left - root) // 2, (sum_left + root) // 2
+                    if x >= divs[start] and y <= bound:
+                        out.append((*acc, x, y))
                 return
             for idx in range(start, len(divs)):
                 a = divs[idx]

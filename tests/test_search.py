@@ -15,9 +15,50 @@ from wpsdeg import (
     enumerate_solutions,
     generate_tree,
     is_well_formed,
+    lift,
     p2_type_tuple,
     satisfies_degeneration_equation,
 )
+from wpsdeg.search import _divisors_bounded, _factorize, _raw_solutions
+
+
+def divisor_scan_raw_solutions(n, bound):
+    """Reference for the closed-form pair: the search as it was when the last
+    two weights still came from a divisor scan and a forced last weight."""
+    out = []
+    slots_total = n + 1
+    for m in range(1, bound + 1):
+        target_prod = m ** n
+        factors = {p: e * n for p, e in _factorize(m).items()}
+        divs = _divisors_bounded(factors, bound)
+
+        def extend(start, slots, sum_left, prod_left, acc):
+            if slots == 1:
+                if sum_left == prod_left:
+                    out.append((*acc, sum_left))
+                return
+            for idx in range(start, len(divs)):
+                a = divs[idx]
+                if a * slots > sum_left:
+                    break
+                if prod_left % a:
+                    continue
+                rest = prod_left // a
+                if rest > bound ** (slots - 1):
+                    continue
+                if rest < a ** (slots - 1):
+                    continue
+                acc.append(a)
+                extend(idx, slots - 1, sum_left - a, rest, acc)
+                acc.pop()
+
+        extend(0, slots_total, slots_total * m, target_prod, [])
+    return sorted(out)
+
+
+def well_formed_lifts(solutions, bound):
+    lifts = (lift(s.weights) for s in solutions)
+    return {tuple(w) for w in lifts if is_well_formed(w) and max(w) <= bound}
 
 
 class TestCandidateCheck:
@@ -98,6 +139,13 @@ class TestEnumerate:
                 assert anticanonical_volume(s.weights) == expected
 
 
+class TestClosedFormPair:
+    @pytest.mark.parametrize("n,bound", [(1, 2000), (2, 3000), (3, 600),
+                                         (4, 200), (5, 120), (6, 40)])
+    def test_matches_divisor_scan(self, n, bound):
+        assert _raw_solutions(n, bound) == divisor_scan_raw_solutions(n, bound)
+
+
 class TestOracle:
     def test_trivial_bound(self):
         assert [tuple(w) for w in brute_force_oracle(2, 1)] == [(1, 1, 1)]
@@ -152,3 +200,49 @@ class TestTreeCompleteness:
         family = {w for w, s in found.items()
                   if s.classification is not Classification.SPORADIC}
         assert family == p2_type | sum_type
+
+
+TEN_THOUSAND = 10_000
+
+
+@pytest.fixture(scope="module")
+def dim3_at_ten_thousand():
+    return {tuple(s.weights): s for s in enumerate_solutions(3, TEN_THOUSAND)}
+
+
+@pytest.mark.slow
+class TestOraclesAtTenThousand:
+    """Metamorphic checks at dimension 3, bound 10^4, far past brute force."""
+
+    def test_family_solutions_are_the_tree_nodes(self, dim3_at_ten_thousand):
+        found = dim3_at_ten_thousand
+        p2_type = {tuple(p2_type_tuple(MarkovTriple(*node)))
+                   for node in generate_tree("markov", TEN_THOUSAND).nodes}
+        p2_type = {w for w in p2_type if max(w) <= TEN_THOUSAND}
+        sum_type = set(generate_tree("sum", TEN_THOUSAND).nodes)
+        assert (len(found), len(p2_type), len(sum_type)) == (141, 7, 9)
+        assert p2_type | sum_type <= set(found)
+        p2_classes = {Classification.P2_TYPE, Classification.BOTH}
+        sum_classes = {Classification.SUM_TYPE, Classification.BOTH}
+        assert all(found[w].classification in p2_classes for w in p2_type)
+        assert all(found[w].classification in sum_classes for w in sum_type)
+        family = {w for w, s in found.items()
+                  if s.classification is not Classification.SPORADIC}
+        assert family == p2_type | sum_type
+
+    def test_monotone_in_bound(self, dim3_at_ten_thousand):
+        small = [tuple(s.weights) for s in enumerate_solutions(3, 2000)]
+        assert small == sorted(w for w in dim3_at_ten_thousand if max(w) <= 2000)
+
+    def test_lifts_from_dim2_are_enumerated(self, dim3_at_ten_thousand):
+        lifts = well_formed_lifts(enumerate_solutions(2, TEN_THOUSAND), TEN_THOUSAND)
+        assert len(lifts) == 7
+        assert lifts <= set(dim3_at_ten_thousand)
+
+
+def test_lifts_from_dim3_are_enumerated_in_dim4():
+    bound = 1000
+    lifts = well_formed_lifts(enumerate_solutions(3, bound), bound)
+    found = {tuple(s.weights) for s in enumerate_solutions(4, bound)}
+    assert (len(lifts), len(found)) == (41, 350)
+    assert lifts <= found
