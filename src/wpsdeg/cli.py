@@ -6,13 +6,15 @@ byte-deterministic: records are sorted, field order is fixed, and nothing
 carries a timestamp (the markdown report embeds the version string only).
 
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
-non-integral divisor degree), 2 usage error.
+non-integral divisor degree), 2 usage error or a denumerant table past
+weights.MAX_DENUMERANT_TABLE.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,6 +31,7 @@ from .records import (
 )
 from .singular import singular_strata
 from .weights import (
+    DenumerantTooLargeError,
     NonIntegralDegreeError,
     WeightTuple,
     moduli_component_dimension,
@@ -266,7 +269,13 @@ def cmd_lift(args) -> int:
                    text=_fmt(lifted))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and cached for the process.
+
+    Subcommand `name` runs cmd_<name> (dashes as underscores); main looks the
+    handler up at call time, so a replaced cmd_* attribute is still called.
+    """
     parser = argparse.ArgumentParser(
         prog="wpsdeg",
         description="Weighted projective degenerations of projective space: "
@@ -281,32 +290,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None,
                    help="also report moduli dimensions for divisors of this degree")
     p.add_argument("--q", type=int, default=None, help="pairing denominator (default dim+1)")
-    p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("classify", help="family membership and smoothability of one tuple")
     p.add_argument("weights", type=_parse_weights)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("singular", help="singular strata with transverse types and verdicts")
     p.add_argument("weights", type=_parse_weights)
-    p.set_defaults(handler=cmd_singular)
 
     p = sub.add_parser("tree", help="mutation graph of a family up to a weight bound")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
-    p.set_defaults(handler=cmd_tree)
 
     p = sub.add_parser("lift", help="lift a dimension-n solution one dimension up")
     p.add_argument("weights", type=_parse_weights)
-    p.set_defaults(handler=cmd_lift)
 
     p = sub.add_parser("moduli-dim", help="moduli component dimension for divisors")
     p.add_argument("--weights", type=_parse_weights, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    p.set_defaults(handler=cmd_moduli_dim)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=FORMATS, default="table")
@@ -319,6 +322,7 @@ _AT_LEAST_ONE = ("dim", "bound", "max_weight", "degree", "q")
 
 
 def main(argv=None) -> int:
+    """Run one CLI call with the cached parser and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command != "tree":
@@ -327,7 +331,10 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             parser.error(f"--{name.replace('_', '-')} must be at least 1")
-    return args.handler(args)
+    try:
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except DenumerantTooLargeError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

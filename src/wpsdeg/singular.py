@@ -84,6 +84,8 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
     summed: with g_i = gcd(r, w_j : j != i), element k has at most one nonzero
     residue exactly when r / g_i divides k for some i, so the first offending
     element is k = min(r / g_i) over the i with g_i > 1.
+    The age walk then stops at the first age < 1 (StrictlyKlt); terminal and
+    canonical germs still walk all r - 1 elements.
     """
     r = germ.order
     ws = germ.weights
@@ -94,12 +96,13 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
         if all((k * w) % r == 0 for w in ws):
             raise ValueError(f"{germ.notation()}: element {k} acts as the identity")
         raise ValueError(f"{germ.notation()}: element {k} is a quasi-reflection")
-    min_numerator = min(sum((k * w) % r for w in ws) for k in range(1, r))
-    if min_numerator > r:
-        return Verdict.TERMINAL
-    if min_numerator == r:
-        return Verdict.STRICTLY_CANONICAL
-    return Verdict.STRICTLY_KLT
+    canonical = False
+    for k in range(1, r):
+        numerator = sum((k * w) % r for w in ws)
+        if numerator < r:
+            return Verdict.STRICTLY_KLT
+        canonical = canonical or numerator == r
+    return Verdict.STRICTLY_CANONICAL if canonical else Verdict.TERMINAL
 
 
 @dataclass(frozen=True)

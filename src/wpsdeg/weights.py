@@ -16,7 +16,7 @@ on equality boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 
 class WeightTuple(tuple):
@@ -104,21 +104,50 @@ def anticanonical_volume(weights) -> Fraction:
     return Fraction((-w.total) ** w.dim, w.product)
 
 
+# Largest coin-counting table denumerant fills, in entries.  Near 10^7 the
+# table takes seconds and hundreds of megabytes of big integers.
+MAX_DENUMERANT_TABLE = 10**7
+
+
+class DenumerantTooLargeError(ValueError):
+    """The table a denumerant needs has more than MAX_DENUMERANT_TABLE entries."""
+
+
 def denumerant(degree: int, weights) -> int:
     """Number of monomials of weighted degree `degree` in n+1 variables.
 
-    Counts exponent vectors m >= 0 with sum m_i * a_i = degree, by the usual
-    one-dimensional coin-counting table: O((n+1) * degree) exact integer
-    additions.  Negative degree counts zero monomials (empty linear system).
+    Counts exponent vectors m >= 0 with sum m_i * a_i = degree by the usual
+    coin-counting table; negative degree counts zero (empty linear system).
+    With L = lcm(a) and degree N = rho + x * L, 0 <= rho < L, the count is a
+    polynomial f(x) of degree <= n for every N >= 0 (1 / prod(1 - t^a_i) is
+    proper with poles at L-th roots of unity; Stanley, *Enumerative
+    Combinatorics I*, 4.4).  So for x > n the table stops at rho + n * L and
+    f(x) = sum_k C(x, k) * D^k f(0), Newton's forward differences of
+    f(0..n), all integers.  Cost O((n+1) * min(N, rho + n * L)); a table past
+    MAX_DENUMERANT_TABLE raises DenumerantTooLargeError before allocating.
     """
     w = WeightTuple(weights)
     if degree < 0:
         return 0
-    table = [1] + [0] * degree
+    n, period = w.dim, lcm(*w)
+    x, rho = divmod(degree, period)
+    top = min(degree, rho + n * period)
+    if top >= MAX_DENUMERANT_TABLE:
+        raise DenumerantTooLargeError(f"denumerant of degree {degree} on {tuple(w)} needs "
+                                      f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
+    table = [1] + [0] * top
     for a in w:
-        for j in range(a, degree + 1):
+        for j in range(a, top + 1):
             table[j] += table[j - a]
-    return table[degree]
+    if x <= n:
+        return table[degree]
+    diffs = table[rho::period]
+    count, binomial = 0, 1
+    for k in range(n + 1):
+        count += binomial * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        binomial = binomial * (x - k) // (k + 1)
+    return count
 
 
 def aut_dimension(weights) -> int:

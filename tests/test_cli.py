@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
+import wpsdeg
 from wpsdeg import from_json_obj
 from wpsdeg.cli import main
 
@@ -303,6 +309,63 @@ class TestPositiveOptions:
         code, out = run(capsys, "classify", "1,1,1,1", "--degree", "1", "--q", "1")
         assert code == 0
         assert "moduli_dim" in out
+
+
+class TestCachedParser:
+    """The parser is built once per process; handlers are found at call time."""
+
+    def test_repeated_calls_give_identical_output(self, capsys):
+        argv = ("singular", "1,4,16,27", "--format", "json")
+        assert run(capsys, *argv) == run(capsys, *argv)
+
+    def test_replaced_handler_sees_later_calls(self, capsys, monkeypatch):
+        import wpsdeg.cli
+
+        run(capsys, "singular", "1,1,2,4")
+        calls = []
+        original = wpsdeg.cli.cmd_singular
+
+        def counting(args):
+            calls.append(args.weights)
+            return original(args)
+
+        monkeypatch.setattr(wpsdeg.cli, "cmd_singular", counting)
+        code, out = run(capsys, "singular", "1,1,2,4")
+        assert code == 0
+        assert "1/2(1,1)" in out
+        assert calls == [(1, 1, 2, 4)]
+
+    def test_import_does_not_build_parser(self):
+        src = str(Path(wpsdeg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import wpsdeg.cli; print(wpsdeg.cli.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+def test_denumerant_past_table_limit_is_usage_error(capsys):
+    # lcm(977, 983, 991, 997) is about 9.5e11 and the degree about 9.9e11, so no
+    # interpolation applies; the limit is checked before the table is allocated.
+    start = perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(["moduli-dim", "--weights", "977,983,991,997", "--degree", "1000000000"])
+    captured = capsys.readouterr()
+    assert perf_counter() - start < 1.0
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "needs 987000000001 table entries, over 10000000" in captured.err
+
+
+def test_huge_degree_on_small_weights_is_instant(capsys):
+    start = perf_counter()
+    code, out = run(capsys, "moduli-dim", "--weights", "1,2,3,5", "--degree", "10000000",
+                    "--q", "11")
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    assert int(out) > 0
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 from itertools import combinations_with_replacement
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,22 @@ class TestReidTai:
                 germ = CyclicQuotient(order, residues)
                 assert (verdict_or_error(reid_tai_classify, germ)
                         == verdict_or_error(element_scan_classify, germ)), germ
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_element_scan_up_to_order_24(self, size):
+        for order in range(2, 25):
+            for residues in combinations_with_replacement(range(1, order), size):
+                germ = CyclicQuotient(order, residues)
+                assert (verdict_or_error(reid_tai_classify, germ)
+                        == verdict_or_error(element_scan_classify, germ)), germ
+
+    def test_klt_germ_of_huge_order_stops_early(self):
+        # k = 1 already has age 4 / r < 1; walking all r - 1 elements takes seconds.
+        start = perf_counter()
+        verdict = reid_tai_classify(CyclicQuotient(10**7 + 19, (1, 1, 2)))
+        assert perf_counter() - start < 1.0
+        assert verdict is Verdict.STRICTLY_KLT
 
     def test_verdict_property_is_cached_value(self):
         q = CyclicQuotient(27, (1, 4, 16))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,17 @@ from wpsdeg import (
     normalize,
     satisfies_degeneration_equation,
 )
+from wpsdeg.weights import DenumerantTooLargeError
+
+
+def denumerant_table(top, weights):
+    """Reference: the plain coin-counting table of every degree 0..top."""
+    table = [1] + [0] * top
+    for a in weights:
+        for j in range(a, top + 1):
+            table[j] += table[j - a]
+    return table
+
 
 weight_lists = st.lists(st.integers(1, 125), min_size=2, max_size=6)
 
@@ -154,6 +166,34 @@ class TestDenumerant:
         w = WeightTuple(entries)
         if 1 in tuple(w):
             assert denumerant(degree + 1, w) >= denumerant(degree, w)
+
+    @pytest.mark.parametrize("size,largest", [(2, 12), (3, 8), (4, 5)])
+    def test_matches_table_on_every_small_tuple(self, size, largest):
+        # Up to (n+2) * lcm covers the table branch (x <= n), the interpolated
+        # branch (x = n+1) and every residue of the degree mod lcm.
+        for weights in combinations_with_replacement(range(1, largest + 1), size):
+            top = (size + 1) * lcm(*weights)
+            table = denumerant_table(top, weights)
+            for degree in range(top + 1):
+                assert denumerant(degree, weights) == table[degree], (degree, weights)
+
+    def test_closed_forms_at_huge_degree(self):
+        assert denumerant(10**12, (1, 1, 1, 1)) == comb(10**12 + 3, 3)
+        assert denumerant(10**15, (1, 2)) == 10**15 // 2 + 1
+
+    def test_huge_degree_is_fast(self):
+        start = perf_counter()
+        count = denumerant(10**8, (1, 2, 3, 5))
+        assert perf_counter() - start < 1.0
+        assert count > 0
+
+    def test_table_past_limit_raises_before_filling(self):
+        # lcm is about 9.5e11, so no interpolation applies at this degree.
+        start = perf_counter()
+        with pytest.raises(DenumerantTooLargeError, match="table entries"):
+            denumerant(987 * 10**9, (977, 983, 991, 997))
+        assert perf_counter() - start < 1.0
+        assert issubclass(DenumerantTooLargeError, ValueError)
 
 
 class TestAutDimension:
