@@ -21,14 +21,11 @@ from .mutation import (
     generate_tree,
     lift,
     markov_mutate,
-    p2_type_tuple,
     sum_mutate,
     sum_type_decompose,
 )
 from .records import (
     SolutionRecord,
-    from_csv_row,
-    from_json_obj,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,
@@ -55,7 +52,6 @@ from .weights import (
     anticanonical_volume,
     aut_dimension,
     denumerant,
-    hypersurface_section_count,
     is_well_formed,
     moduli_component_dimension,
     normalize,
@@ -84,17 +80,13 @@ __all__ = [
     "classify_solution",
     "denumerant",
     "enumerate_solutions",
-    "from_csv_row",
-    "from_json_obj",
     "generate_tree",
-    "hypersurface_section_count",
     "is_well_formed",
     "isolated_rigid_points",
     "lift",
     "markov_mutate",
     "moduli_component_dimension",
     "normalize",
-    "p2_type_tuple",
     "record_for_non_solution",
     "record_for_solution",
     "reid_tai_classify",

@@ -6,8 +6,9 @@ byte-deterministic: records are sorted, field order is fixed, and nothing
 carries a timestamp (the markdown report embeds the version string only).
 
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
-non-integral divisor degree), 2 usage error or a denumerant table past
-weights.MAX_DENUMERANT_TABLE.
+non-integral divisor degree), 2 usage error, a denumerant table past
+weights.MAX_DENUMERANT_TABLE, or a Reid-Tai walk past
+singular.MAX_REID_TAI_WALK.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .records import (
     to_csv_row,
     to_json_obj,
 )
-from .singular import singular_strata
+from .singular import GermTooLargeError, singular_strata
 from .weights import (
     DenumerantTooLargeError,
     NonIntegralDegreeError,
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be at least 1")
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except DenumerantTooLargeError as exc:
+    except (DenumerantTooLargeError, GermTooLargeError) as exc:
         parser.error(str(exc))
 
 

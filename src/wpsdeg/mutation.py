@@ -95,17 +95,15 @@ def markov_mutate(triple: MarkovTriple, slot: int) -> MarkovTriple:
     """Replace the chosen entry by 3*(product of the other two) - entry.
 
     The two roots of the relation read as a quadratic in the chosen slot
-    multiply to a positive number, so the result is always positive for a
-    valid input; nonpositive results are rejected as a guard against invalid
-    triples.  Mutating the same slot twice restores the original exactly.
+    multiply to the sum of the squares of the other two entries, so the
+    result is positive for every valid triple.  Mutating the same slot twice
+    restores the original exactly.
     """
     if slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1 or 2")
     entries = list(triple.as_tuple())
     others = [entries[i] for i in range(3) if i != slot]
     entries[slot] = 3 * others[0] * others[1] - entries[slot]
-    if entries[slot] < 1:
-        raise ValueError(f"mutation of {triple.as_tuple()} at slot {slot} is nonpositive")
     return MarkovTriple(*entries)
 
 
@@ -114,9 +112,11 @@ def sum_mutate(quad: SumQuadruple, fixed: tuple[int, int]) -> SumQuadruple:
 
     With the fixed entries relabeled (a, b) and the remaining one c, the
     relation 8abz = (a + b + z)^2 is quadratic in z; the mutation swaps c for
-    the other root 8ab - a - b - d and recomputes d.  Any of the three pairs
-    may be fixed: `fixed` gives two distinct positions among slots 0..2.
-    Applying the same mutation twice restores the original exactly.
+    the other root 8ab - a - b - d and recomputes d.  The two roots multiply
+    to (a + b)^2, so the result is positive for every valid quadruple.  Any
+    of the three pairs may be fixed: `fixed` gives two distinct positions
+    among slots 0..2.  Applying the same mutation twice restores the original
+    exactly.
     """
     i, j = fixed
     if i == j or not {i, j} <= {0, 1, 2}:
@@ -124,21 +124,9 @@ def sum_mutate(quad: SumQuadruple, fixed: tuple[int, int]) -> SumQuadruple:
     k = ({0, 1, 2} - {i, j}).pop()
     entries = list(quad.as_tuple())
     a, b = entries[i], entries[j]
-    new_c = 8 * a * b - a - b - quad.d
-    new_d = 8 * a * b - quad.d
-    if new_c < 1 or new_d < 1:
-        raise ValueError(f"mutation of {quad.as_tuple()} fixing {fixed} is nonpositive")
-    entries[k] = new_c
-    entries[3] = new_d
+    entries[k] = 8 * a * b - a - b - quad.d
+    entries[3] = 8 * a * b - quad.d
     return SumQuadruple(*entries)
-
-
-def p2_type_tuple(triple: MarkovTriple) -> WeightTuple:
-    """The solution (p^2, q^2, r^2, pqr) attached to a Markov-type triple."""
-    p, q, r = triple.as_tuple()
-    out = WeightTuple((p * p, q * q, r * r, p * q * r))
-    assert satisfies_degeneration_equation(out)
-    return out
 
 
 def classify_solution(weights) -> Classification:

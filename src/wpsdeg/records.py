@@ -9,7 +9,7 @@ notations with '|'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .singular import SmoothabilityReport, smoothability_report
 from .weights import (
@@ -18,18 +18,6 @@ from .weights import (
     anticanonical_volume,
     moduli_component_dimension,
 )
-
-CSV_HEADER = [
-    "weights",
-    "sum",
-    "product",
-    "volume_num",
-    "volume_den",
-    "classification",
-    "rigid_points",
-    "verdict_text",
-    "moduli_dim",
-]
 
 
 @dataclass(frozen=True)
@@ -43,6 +31,9 @@ class SolutionRecord:
     rigid_points: tuple[str, ...]
     verdict_text: str
     moduli_dim: int | None = None
+
+
+CSV_HEADER = [f.name for f in fields(SolutionRecord)]
 
 
 def _base_fields(w: WeightTuple) -> dict:
@@ -114,21 +105,6 @@ def to_json_obj(record: SolutionRecord) -> dict:
     return obj
 
 
-def from_json_obj(obj: dict) -> SolutionRecord:
-    moduli = obj.get("moduli_dim")
-    return SolutionRecord(
-        weights=tuple(int(a) for a in obj["weights"]),
-        sum=int(obj["sum"]),
-        product=int(obj["product"]),
-        volume_num=int(obj["volume_num"]),
-        volume_den=int(obj["volume_den"]),
-        classification=obj["classification"],
-        rigid_points=tuple(obj["rigid_points"]),
-        verdict_text=obj["verdict_text"],
-        moduli_dim=None if moduli is None else int(moduli),
-    )
-
-
 def to_csv_row(record: SolutionRecord) -> list[str]:
     return [
         ",".join(str(a) for a in record.weights),
@@ -141,17 +117,3 @@ def to_csv_row(record: SolutionRecord) -> list[str]:
         record.verdict_text,
         "" if record.moduli_dim is None else str(record.moduli_dim),
     ]
-
-
-def from_csv_row(row: list[str]) -> SolutionRecord:
-    return SolutionRecord(
-        weights=tuple(int(a) for a in row[0].split(",")),
-        sum=int(row[1]),
-        product=int(row[2]),
-        volume_num=int(row[3]),
-        volume_den=int(row[4]),
-        classification=row[5] or None,
-        rigid_points=tuple(row[6].split("|")) if row[6] else (),
-        verdict_text=row[7],
-        moduli_dim=int(row[8]) if row[8] else None,
-    )

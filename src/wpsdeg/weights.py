@@ -199,18 +199,3 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
     linear_system_degree = numerator // divisor_ratio
     return (denumerant(linear_system_degree, w) - 1) - aut_dimension(w)
 
-
-def hypersurface_section_count(ambient, hypersurface_degree: int, degree: int) -> int:
-    """Monomial count of degree `degree` restricted to a degree-h hypersurface.
-
-    On X = {f = 0} in P(a) with deg f = h, sections of O(d) are ambient
-    monomials modulo multiples of f:
-
-        denumerant(d) - denumerant(d - h).
-    """
-    w = WeightTuple(ambient)
-    if hypersurface_degree < 1:
-        raise ValueError("hypersurface degree must be positive")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return denumerant(degree, w) - denumerant(degree - hypersurface_degree, w)

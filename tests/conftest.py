@@ -1,6 +1,8 @@
-"""Shared constants and tiny oracles for the test suite."""
+"""Shared constants, tiny oracles and record parsers for the test suite."""
 
 from __future__ import annotations
+
+from wpsdeg import MarkovTriple, SolutionRecord, WeightTuple, satisfies_degeneration_equation
 
 
 # The classical bound-125 table of dimension-3 solutions used by several
@@ -37,3 +39,42 @@ def brute_denumerant(degree: int, weights) -> int:
     head, rest = weights[0], weights[1:]
     return sum(brute_denumerant(degree - k * head, rest)
                for k in range(degree // head + 1))
+
+
+def p2_type_tuple(triple: MarkovTriple) -> WeightTuple:
+    """The solution (p^2, q^2, r^2, pqr) attached to a Markov-type triple."""
+    p, q, r = triple.as_tuple()
+    out = WeightTuple((p * p, q * q, r * r, p * q * r))
+    assert satisfies_degeneration_equation(out)
+    return out
+
+
+# Inverses of records.to_json_obj and records.to_csv_row: the round-trip
+# tests use them to show that both encodings lose nothing.
+def from_json_obj(obj: dict) -> SolutionRecord:
+    moduli = obj.get("moduli_dim")
+    return SolutionRecord(
+        weights=tuple(int(a) for a in obj["weights"]),
+        sum=int(obj["sum"]),
+        product=int(obj["product"]),
+        volume_num=int(obj["volume_num"]),
+        volume_den=int(obj["volume_den"]),
+        classification=obj["classification"],
+        rigid_points=tuple(obj["rigid_points"]),
+        verdict_text=obj["verdict_text"],
+        moduli_dim=None if moduli is None else int(moduli),
+    )
+
+
+def from_csv_row(row: list[str]) -> SolutionRecord:
+    return SolutionRecord(
+        weights=tuple(int(a) for a in row[0].split(",")),
+        sum=int(row[1]),
+        product=int(row[2]),
+        volume_num=int(row[3]),
+        volume_den=int(row[4]),
+        classification=row[5] or None,
+        rigid_points=tuple(row[6].split("|")) if row[6] else (),
+        verdict_text=row[7],
+        moduli_dim=int(row[8]) if row[8] else None,
+    )

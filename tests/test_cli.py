@@ -5,12 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 import pytest
 
 import wpsdeg
-from wpsdeg import from_json_obj
+from conftest import from_json_obj
 from wpsdeg.cli import main
 
 
@@ -366,6 +366,29 @@ def test_huge_degree_on_small_weights_is_instant(capsys):
     assert perf_counter() - start < 1.0
     assert code == 0
     assert int(out) > 0
+
+
+def test_germ_past_walk_limit_is_usage_error(capsys):
+    # 1/1000000007(1,2,1000000004) is Gorenstein, so no element has age below 1
+    # and a full walk would visit 10^9 elements.  CPU time, so that a busy
+    # machine does not fail the test.
+    start = process_time()
+    with pytest.raises(SystemExit) as info:
+        main(["singular", "1,2,1000000004,1000000007"])
+    captured = capsys.readouterr()
+    assert process_time() - start < 3.0
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert ("1/1000000007(1,2,1000000004): no age below 1 among the first 2000000 of "
+            "1000000006 elements") in captured.err
+
+
+def test_canonical_germ_inside_walk_limit_is_classified(capsys):
+    # r - 1 = 1000002 elements, all walked.
+    code, out = run(capsys, "singular", "1,2,1000000,1000003", "--format", "json")
+    assert code == 0
+    verdicts = {s["transverse"]: s["verdict"] for s in json.loads(out)["strata"]}
+    assert verdicts["1/1000003(1,2,1000000)"] == "StrictlyCanonical"
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import p2_type_tuple
 from wpsdeg import (
     Classification,
     Family,
@@ -14,7 +15,6 @@ from wpsdeg import (
     generate_tree,
     lift,
     markov_mutate,
-    p2_type_tuple,
     satisfies_degeneration_equation,
     sum_mutate,
     sum_type_decompose,

@@ -3,10 +3,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_csv_row, from_json_obj
 from wpsdeg import (
     SolutionRecord,
-    from_csv_row,
-    from_json_obj,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUND_AT_125, TABLE_TEN
+from conftest import FOUND_AT_125, TABLE_TEN, p2_type_tuple
 from wpsdeg import (
     Classification,
     MarkovTriple,
@@ -16,7 +16,6 @@ from wpsdeg import (
     generate_tree,
     is_well_formed,
     lift,
-    p2_type_tuple,
     satisfies_degeneration_equation,
 )
 from wpsdeg.search import _divisors_bounded, _factorize, _raw_solutions

@@ -18,6 +18,7 @@ from wpsdeg import (
     singular_strata,
     smoothability_report,
 )
+from wpsdeg import singular
 
 well_formed_tuples = st.lists(st.integers(1, 60), min_size=3, max_size=5).map(
     lambda entries: normalize(entries))
@@ -112,6 +113,22 @@ class TestReidTai:
         verdict = reid_tai_classify(CyclicQuotient(10**7 + 19, (1, 1, 2)))
         assert perf_counter() - start < 1.0
         assert verdict is Verdict.STRICTLY_KLT
+
+    def test_walk_limit_counts_elements_walked(self, monkeypatch):
+        # 1/13(12,12,12): ages of k = 1..8 are at least 1, k = 9 has 12/13.
+        germ = CyclicQuotient(13, (12, 12, 12))
+        monkeypatch.setattr(singular, "MAX_REID_TAI_WALK", 9)
+        assert reid_tai_classify(germ) is Verdict.STRICTLY_KLT
+        monkeypatch.setattr(singular, "MAX_REID_TAI_WALK", 8)
+        with pytest.raises(singular.GermTooLargeError, match=r"first 8 of 12 elements"):
+            reid_tai_classify(germ)
+
+    def test_walk_limit_applies_past_the_last_element_only(self, monkeypatch):
+        # Gorenstein germs 1/r(1,2,r-3) never reach an age below 1.
+        monkeypatch.setattr(singular, "MAX_REID_TAI_WALK", 12)
+        assert reid_tai_classify(CyclicQuotient(13, (1, 2, 10))) is Verdict.STRICTLY_CANONICAL
+        with pytest.raises(ValueError, match=r"1/14\(1,2,11\): no age below 1"):
+            reid_tai_classify(CyclicQuotient(14, (1, 2, 11)))
 
     def test_verdict_property_is_cached_value(self):
         q = CyclicQuotient(27, (1, 4, 16))

@@ -14,7 +14,6 @@ from wpsdeg import (
     anticanonical_volume,
     aut_dimension,
     denumerant,
-    hypersurface_section_count,
     is_well_formed,
     moduli_component_dimension,
     normalize,
@@ -246,23 +245,3 @@ class TestModuliComponentDimension:
             moduli_component_dimension(WeightTuple((1, 1, 1, 1)), degree, 4)
         assert not isinstance(info.value, NonIntegralDegreeError)
 
-
-class TestHypersurfaceSectionCount:
-    def test_quadric_sections(self):
-        ambient = WeightTuple((1, 1, 1, 1, 2))
-        assert hypersurface_section_count(ambient, 2, 5) == 56
-
-    def test_low_degree(self):
-        ambient = WeightTuple((1, 1, 1, 1, 2))
-        assert hypersurface_section_count(ambient, 2, 1) == 4
-
-    def test_degree_zero(self):
-        assert hypersurface_section_count(WeightTuple((2, 3, 5)), 4, 0) == 1
-
-    @given(st.lists(st.integers(1, 10), min_size=2, max_size=4),
-           st.integers(1, 15), st.integers(0, 30))
-    @settings(max_examples=60)
-    def test_difference_formula(self, entries, h, d):
-        w = WeightTuple(entries)
-        low = denumerant(d - h, w) if d - h >= 0 else 0
-        assert hypersurface_section_count(w, h, d) == denumerant(d, w) - low
