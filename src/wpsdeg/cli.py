@@ -162,6 +162,7 @@ _LITERATURE_STATUS = [
 
 
 def cmd_enumerate(args) -> int:
+    # At call time, so a replaced wpsdeg.search.enumerate_solutions (a bench probe) is called.
     from .search import enumerate_solutions
 
     records = [record_for_solution(report, args.degree, args.q)

@@ -36,9 +36,6 @@ class Family(str, Enum):
     MARKOV = "markov"
     SUM = "sum"
 
-    def __str__(self):
-        return self.value
-
 
 def _is_square(x: int) -> bool:
     return x >= 0 and isqrt(x) ** 2 == x

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 
 from .mutation import Classification, classify_solution
@@ -66,9 +65,6 @@ class CyclicQuotient:
 
     def notation(self) -> str:
         return f"1/{self.order}({','.join(str(w) for w in self.weights)})"
-
-    def __str__(self):
-        return self.notation()
 
     @cached_property
     def verdict(self) -> Verdict:
@@ -146,43 +142,31 @@ class SingularStratum:
 def singular_strata(weights) -> list[SingularStratum]:
     """All singular strata of a well-formed weighted projective space.
 
-    Every nonempty proper index subset S with m = gcd(a_j : j in S) > 1
-    determines a singular subspace; distinct subsets can determine the same
-    closed stratum, namely when they share the saturation
-    J = {j : m divides a_j}.  One stratum is emitted per saturation, with
-    stabilizer order m = gcd over J and transverse germ
-    1/m(a_k mod m : k not in J).  Saturating is also what guarantees every
-    transverse residue is nonzero, which is asserted.
+    Each distinct gcd m > 1 of a nonempty index subset is one closed stratum:
+    the coordinate subspace on J(m) = {j : m divides a_j}, whose gcd is m
+    again, with transverse germ 1/m(a_k mod m : k not in J(m)).  These m are
+    the closure of the weights under gcd.  J(m) is strictly contained in J(o)
+    exactly when o properly divides m, so a stratum is maximal when no other
+    order divides its own.  Every order divides a weight, so for n + 1 weights
+    there are s <= (n + 1) * max_j d(a_j) strata (d counts divisors), and the
+    cost, O(n * s + s^2) integer operations, is polynomial in the number of
+    weights.
 
-    Sorted by ascending stabilizer order, then indices.
+    Sorted by ascending stabilizer order; orders are distinct.
     """
     w = WeightTuple(weights)
     if not is_well_formed(w):
         raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
-    count = len(w)
-    saturations: dict[tuple[int, ...], int] = {}
-    for size in range(1, count):
-        for subset in combinations(range(count), size):
-            m = gcd(*(w[j] for j in subset)) if len(subset) > 1 else w[subset[0]]
-            if m <= 1:
-                continue
-            saturated = tuple(j for j in range(count) if w[j] % m == 0)
-            # gcd over the saturation equals m again: it divides gcd(subset) = m
-            # and m divides every member.
-            saturations[saturated] = m
-
+    orders: set[int] = set()
+    for a in w:
+        orders |= {a, *(gcd(a, m) for m in orders)}
+    orders.discard(1)
     strata = []
-    for indices, m in saturations.items():
-        residues = tuple(w[k] % m for k in range(count) if k not in indices)
-        assert all(res != 0 for res in residues), (
-            f"zero transverse residue on {tuple(w)} at {indices}: "
-            "saturation or well-formedness is broken"
-        )
-        maximal = not any(
-            set(indices) < set(other) for other in saturations if other != indices
-        )
+    for m in sorted(orders):
+        indices = tuple(j for j, a in enumerate(w) if a % m == 0)
+        residues = tuple(a % m for a in w if a % m != 0)
+        maximal = not any(m % o == 0 for o in orders if o != m)
         strata.append(SingularStratum(indices, m, CyclicQuotient(m, residues), maximal))
-    strata.sort(key=lambda s: (s.order, s.indices))
     return strata
 
 

@@ -335,6 +335,22 @@ class TestCachedParser:
         assert "1/2(1,1)" in out
         assert calls == [(1, 1, 2, 4)]
 
+    def test_replaced_search_sees_enumerate_calls(self, capsys, monkeypatch):
+        import wpsdeg.search
+
+        calls = []
+        original = wpsdeg.search.enumerate_solutions
+
+        def counting(n, bound):
+            calls.append((n, bound))
+            return original(n, bound)
+
+        monkeypatch.setattr(wpsdeg.search, "enumerate_solutions", counting)
+        code, out = run(capsys, "enumerate", "--dim", "2", "--bound", "25", "--format", "csv")
+        assert code == 0
+        assert "1,1,1" in out
+        assert calls == [(2, 25)]
+
     def test_import_does_not_build_parser(self):
         src = str(Path(wpsdeg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -389,6 +405,15 @@ def test_canonical_germ_inside_walk_limit_is_classified(capsys):
     assert code == 0
     verdicts = {s["transverse"]: s["verdict"] for s in json.loads(out)["strata"]}
     assert verdicts["1/1000003(1,2,1000000)"] == "StrictlyCanonical"
+
+
+def test_number_of_weights_sets_no_exponential_cost(capsys):
+    # P^23: 24 weights, so a walk over index subsets would visit 2^24 of them.
+    start = process_time()
+    code, out = run(capsys, "classify", "1," * 23 + "1", "--format", "csv")
+    assert process_time() - start < 1.0
+    assert code == 0
+    assert out.startswith("weights,")
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,6 +1,6 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
-from time import perf_counter
+from time import perf_counter, process_time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wpsdeg import (
     Classification,
     CyclicQuotient,
+    SingularStratum,
     Verdict,
     WeightTuple,
     is_well_formed,
@@ -50,6 +51,24 @@ def verdict_or_error(classify, germ):
         return classify(germ)
     except ValueError as error:
         return str(error)
+
+
+def subset_walk_strata(w):
+    """Reference for the gcd closure: every index subset, one stratum per saturation."""
+    count = len(w)
+    saturations = {}
+    for size in range(1, count):
+        for subset in combinations(range(count), size):
+            m = gcd(*(w[j] for j in subset))
+            if m > 1:
+                saturations[tuple(j for j in range(count) if w[j] % m == 0)] = m
+    strata = []
+    for indices, m in saturations.items():
+        residues = tuple(w[k] % m for k in range(count) if k not in indices)
+        maximal = not any(set(indices) < set(other) for other in saturations)
+        strata.append(SingularStratum(indices, m, CyclicQuotient(m, residues), maximal))
+    strata.sort(key=lambda s: (s.order, s.indices))
+    return strata
 
 
 class TestCyclicQuotient:
@@ -207,6 +226,25 @@ class TestSingularStrata:
         for s in strata:
             contained = any(set(s.indices) < other for other in index_sets)
             assert s.maximal == (not contained)
+
+
+    def test_matches_subset_walk_on_every_small_tuple(self):
+        checked = 0
+        for count, top in ((2, 40), (3, 30), (4, 20), (5, 12), (6, 9)):
+            for w in combinations_with_replacement(range(1, top + 1), count):
+                if is_well_formed(w):
+                    assert singular_strata(w) == subset_walk_strata(w), w
+                    checked += 1
+        assert checked == 11865
+
+    def test_number_of_weights_sets_no_exponential_cost(self):
+        start = process_time()
+        strata = singular_strata(range(2, 26))
+        assert process_time() - start < 1.0
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        assert [s.order for s in strata] == list(range(2, 26))
+        assert [s.order for s in strata if s.maximal] == primes
+        assert [s.order for s in strata if s.is_isolated_point] == [13, 17, 19, 23]
 
 
 class TestIsolatedRigidPoints:
