@@ -16,7 +16,9 @@ on equality boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, prod
+from operator import add
 
 
 class WeightTuple(tuple):
@@ -104,9 +106,14 @@ def anticanonical_volume(weights) -> Fraction:
     return Fraction((-w.total) ** w.dim, w.product)
 
 
-# Largest coin-counting table denumerant fills, in entries.  Near 10^7 the
-# table takes seconds and hundreds of megabytes of big integers.
+# Largest coin-counting table denumerant fills, in entries.  At the limit,
+# denumerant(9_999_000, (1, 1, 1, 1, 2, 9_999_991)) takes about 3 s and a
+# peak RSS of about 550 MB, nearly all of it the table's big integers.
 MAX_DENUMERANT_TABLE = 10**7
+
+# Most new table entries one slice step of the fill writes, so what a step
+# copies stays some tens of kilobytes however large the table is.
+_PIECE = 4096
 
 
 class DenumerantTooLargeError(ValueError):
@@ -123,7 +130,19 @@ def denumerant(degree: int, weights) -> int:
     proper with poles at L-th roots of unity; Stanley, *Enumerative
     Combinatorics I*, 4.4).  So for x > n the table stops at rho + n * L and
     f(x) = sum_k C(x, k) * D^k f(0), Newton's forward differences of
-    f(0..n), all integers.  Cost O((n+1) * min(N, rho + n * L)); a table past
+    f(0..n), all integers.
+
+    The fill runs in C slice operations.  Weight c turns each residue class
+    mod c into its prefix sums: down stride-c slices with accumulate when
+    c * c <= top, else row by row, adding the row c below.  A step writes at
+    most _PIECE new entries; a strided window starts on the last, already
+    final, entry of the one before.  So weight c takes at most
+    sqrt(top) + top / _PIECE + 1 interpreted steps.  Steps go up the table
+    block by block, each block of _PIECE rows finished before the next, so
+    the integers a step frees are reused at once and peak memory stays that
+    of the plain in-place loop.  The largest weight a_n is never filled:
+    each count read is the strided sum table[m] + table[m - a_n] + ...
+    Cost O(n * min(N, rho + n * L)) additions; a table past
     MAX_DENUMERANT_TABLE raises DenumerantTooLargeError before allocating.
     """
     w = WeightTuple(weights)
@@ -136,12 +155,20 @@ def denumerant(degree: int, weights) -> int:
         raise DenumerantTooLargeError(f"denumerant of degree {degree} on {tuple(w)} needs "
                                       f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
     table = [1] + [0] * top
-    for a in w:
-        for j in range(a, top + 1):
-            table[j] += table[j - a]
+    *rest, largest = w
+    for c in rest:
+        if c * c <= top:
+            span = _PIECE * c
+            for start in range(0, top + 1 - c, span):
+                for i in range(start, start + c):
+                    table[i:i + span + 1:c] = accumulate(table[i:i + span + 1:c])
+        else:
+            step = min(_PIECE, c)
+            for i in range(c, top + 1, step):
+                table[i:i + step] = map(add, table[i:i + step], table[i - c:i - c + step])
     if x <= n:
-        return table[degree]
-    diffs = table[rho::period]
+        return sum(table[degree::-largest])
+    diffs = [sum(table[m::-largest]) for m in range(rho, top + 1, period)]
     count, binomial = 0, 1
     for k in range(n + 1):
         count += binomial * diffs[0]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from wpsdeg import (
     WeightTuple,
     anticanonical_volume,
     brute_force_oracle,
+    denumerant,
     enumerate_solutions,
     generate_tree,
     is_well_formed,
@@ -228,6 +230,17 @@ class TestOraclesAtTenThousand:
         family = {w for w, s in found.items()
                   if s.classification is not Classification.SPORADIC}
         assert family == p2_type | sum_type
+
+    def test_family_members_have_the_hilbert_function_of_p3(self, dim3_at_ten_thousand):
+        # h^0(-kK) = denumerant(k * sum(a), a), and C(4k + 3, 3) on P^3.
+        # Asserted on family members only: a mismatch elsewhere is evidence
+        # about smoothability, not a verdict.
+        family = [w for w, s in dim3_at_ten_thousand.items()
+                  if s.classification is not Classification.SPORADIC]
+        assert len(family) == 15
+        for w in family:
+            for k in (1, 2, 3):
+                assert denumerant(k * sum(w), w) == comb(4 * k + 3, 3), (w, k)
 
     def test_monotone_in_bound(self, dim3_at_ten_thousand):
         small = [tuple(s.weights) for s in enumerate_solutions(3, 2000)]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
@@ -14,6 +15,7 @@ from wpsdeg import (
     anticanonical_volume,
     aut_dimension,
     denumerant,
+    enumerate_solutions,
     is_well_formed,
     moduli_component_dimension,
     normalize,
@@ -175,6 +177,40 @@ class TestDenumerant:
             table = denumerant_table(top, weights)
             for degree in range(top + 1):
                 assert denumerant(degree, weights) == table[degree], (degree, weights)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3])
+    @pytest.mark.parametrize("size,largest", [(2, 12), (3, 8), (4, 5)])
+    def test_matches_table_in_tiny_pieces(self, monkeypatch, piece, size, largest):
+        # Pieces of 1 to 3 entries put a window seam or a row split between
+        # almost every pair of entries, in both forms of the fill.
+        monkeypatch.setattr("wpsdeg.weights._PIECE", piece)
+        self.test_matches_table_on_every_small_tuple(size, largest)
+
+    def test_matches_table_on_the_dimension_five_solutions(self):
+        # The range the dimension-5 moduli counts use: each weight's own
+        # degree for Aut, and 10 * sum, tables of up to 7,200 entries.
+        solutions = enumerate_solutions(5, 200)
+        assert len(solutions) == 304
+        for solution in solutions:
+            w = tuple(solution.weights)
+            top = 10 * sum(w)
+            table = denumerant_table(top, w)
+            for degree in (top, *w):
+                assert denumerant(degree, w) == table[degree], (degree, w)
+
+    def test_peak_memory_is_that_of_the_plain_table(self):
+        # Whole residue classes as slices would copy up to `top` pointers and
+        # integers per step, about twice the table's own peak here.
+        def peak(fill, *args):
+            tracemalloc.start()
+            try:
+                fill(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        w, degree = (1, 1, 1, 1, 2, 300007), 10**5
+        assert peak(denumerant, degree, w) <= 1.1 * peak(denumerant_table, degree, w)
 
     def test_closed_forms_at_huge_degree(self):
         assert denumerant(10**12, (1, 1, 1, 1)) == comb(10**12 + 3, 3)
