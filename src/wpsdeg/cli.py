@@ -6,9 +6,9 @@ byte-deterministic: records are sorted, field order is fixed, and nothing
 carries a timestamp (the markdown report embeds the version string only).
 
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
-non-integral divisor degree), 2 usage error, a denumerant table past
-weights.MAX_DENUMERANT_TABLE, or a Reid-Tai walk past
-singular.MAX_REID_TAI_WALK.
+non-integral divisor degree), 2 usage error or a cost limit (CostLimitError):
+a denumerant table past weights.MAX_DENUMERANT_TABLE, a Reid-Tai walk past
+singular.MAX_REID_TAI_WALK, or a dimension past search.MAX_SEARCH_DIMENSION.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ import io
 import json
 import sys
 
-from . import __version__
+from . import __version__, search
 from .mutation import Family, generate_tree, lift
 from .records import (
-    CSV_HEADER,
+    FIELD_NAMES,
     SolutionRecord,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,
     to_json_obj,
 )
-from .singular import GermTooLargeError, singular_strata
+from .singular import singular_strata
 from .weights import (
-    DenumerantTooLargeError,
+    CostLimitError,
     NonIntegralDegreeError,
     WeightTuple,
     moduli_component_dimension,
@@ -130,7 +130,7 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
 def _record_table(records: list[SolutionRecord], fmt: str) -> tuple[list[str], list[list[str]]]:
     """Header and rows of solution records: the flat schema for csv, display otherwise."""
     if fmt == "csv":
-        return CSV_HEADER, [to_csv_row(r) for r in records]
+        return FIELD_NAMES, [to_csv_row(r) for r in records]
     header = ["weights", "sum", "product", "volume", "classification",
               "rigid_points", "verdict"]
     rows = []
@@ -162,11 +162,8 @@ _LITERATURE_STATUS = [
 
 
 def cmd_enumerate(args) -> int:
-    # At call time, so a replaced wpsdeg.search.enumerate_solutions (a bench probe) is called.
-    from .search import enumerate_solutions
-
     records = [record_for_solution(report, args.degree, args.q)
-               for report in enumerate_solutions(args.dim, args.bound)]
+               for report in search.enumerate_solutions(args.dim, args.bound)]
     obj = {"dim": str(args.dim), "bound": str(args.bound), "count": str(len(records)),
            "solutions": [to_json_obj(r) for r in records]}
     header, rows = _record_table(records, args.format)
@@ -325,6 +322,9 @@ _AT_LEAST_ONE = ("dim", "bound", "max_weight", "degree", "q")
 
 def main(argv=None) -> int:
     """Run one CLI call with the cached parser and return its exit code."""
+    # Every integer is bounded by argv, so lift CPython's int/str digit limit (3.10.7+).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command != "tree":
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be at least 1")
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (DenumerantTooLargeError, GermTooLargeError) as exc:
+    except CostLimitError as exc:
         parser.error(str(exc))
 
 

@@ -1,10 +1,11 @@
 """Serialization schema for solution reports.
 
 One flat record per weighted projective space, shared by every output
-format.  All integers serialize as decimal strings in JSON so that
-consumers with 53-bit number types cannot corrupt large products; the CSV
-form quotes per RFC 4180 via the csv module and joins multiple rigid-point
-notations with '|'.
+format.  JSON and CSV walk its fields with one formatter per value type.
+Integers become decimal strings, in JSON too, so that consumers with 53-bit
+number types cannot corrupt large products; None is null or an empty cell.
+CSV joins a tuple's integers with ',' and its notations with '|', and quotes
+per RFC 4180 via the csv module.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class SolutionRecord:
     moduli_dim: int | None = None
 
 
-CSV_HEADER = [f.name for f in fields(SolutionRecord)]
+FIELD_NAMES = [f.name for f in fields(SolutionRecord)]
 
 
 def _base_fields(w: WeightTuple) -> dict:
@@ -88,32 +89,25 @@ def record_for_non_solution(weights) -> SolutionRecord:
     )
 
 
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [str(v) for v in value]
+    return value if value is None or isinstance(value, str) else str(value)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, tuple):
+        return "|".join(value) if value and isinstance(value[0], str) else ",".join(map(str, value))
+    return "" if value is None else str(value)
+
+
 def to_json_obj(record: SolutionRecord) -> dict:
-    """JSON-ready dict, every integer as a decimal string, fixed key order."""
-    obj = {
-        "weights": [str(a) for a in record.weights],
-        "sum": str(record.sum),
-        "product": str(record.product),
-        "volume_num": str(record.volume_num),
-        "volume_den": str(record.volume_den),
-        "classification": record.classification,
-        "rigid_points": list(record.rigid_points),
-        "verdict_text": record.verdict_text,
-    }
-    if record.moduli_dim is not None:
-        obj["moduli_dim"] = str(record.moduli_dim)
+    """JSON-ready dict in field order, integers as strings, no None moduli_dim."""
+    obj = {name: _json_value(getattr(record, name)) for name in FIELD_NAMES}
+    if record.moduli_dim is None:
+        del obj["moduli_dim"]
     return obj
 
 
 def to_csv_row(record: SolutionRecord) -> list[str]:
-    return [
-        ",".join(str(a) for a in record.weights),
-        str(record.sum),
-        str(record.product),
-        str(record.volume_num),
-        str(record.volume_den),
-        record.classification or "",
-        "|".join(record.rigid_points),
-        record.verdict_text,
-        "" if record.moduli_dim is None else str(record.moduli_dim),
-    ]
+    return [_csv_cell(getattr(record, name)) for name in FIELD_NAMES]

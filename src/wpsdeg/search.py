@@ -23,13 +23,24 @@ from __future__ import annotations
 
 from math import isqrt
 
+# classify_solution and isolated_rigid_points are read here only by bench/spans.py PROBES.
 from .mutation import classify_solution
-from .singular import SmoothabilityReport, isolated_rigid_points
-from .weights import WeightTuple, is_well_formed
+from .singular import SmoothabilityReport, isolated_rigid_points, smoothability_report
+from .weights import CostLimitError, WeightTuple, is_well_formed
 
 # The unpruned oracle walks every ascending tuple; refuse anything that would
 # take more than about bound^(n+1) ~ 1e9 loop steps.
 ORACLE_ITERATION_CUTOFF = 10 ** 9
+
+# Largest dimension either search accepts: both recurse once per weight, and
+# 500 levels leave half of CPython's default recursion limit to the caller.
+MAX_SEARCH_DIMENSION = 500
+
+
+def _check_dimension(n: int) -> None:
+    if n > MAX_SEARCH_DIMENSION:
+        raise CostLimitError(f"dimension {n} is past the search limit of "
+                             f"{MAX_SEARCH_DIMENSION} (one recursion level per weight)")
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -102,28 +113,19 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
 def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:
     """All well-formed solutions of dimension n with max weight <= bound.
 
-    Returns one report per solution, sorted lexicographically by canonical
-    tuple, each carrying its family classification (dimension 3 only) and
-    its rigid points (dimension >= 3 only).
+    Returns the smoothability_report of each, sorted by canonical tuple.
     Raw solutions that are not well-formed are discarded, not normalized:
     normalization changes sum and product, so the normalized tuple would not
-    satisfy the equation.
+    satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION raises
+    CostLimitError.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    solutions = []
-    for raw in _raw_solutions(n, bound):
-        w = WeightTuple(raw)
-        if not is_well_formed(w):
-            continue
-        solutions.append(SmoothabilityReport(
-            w,
-            classify_solution(w) if n == 3 else None,
-            tuple(isolated_rigid_points(w)) if n >= 3 else (),
-        ))
-    return solutions
+    _check_dimension(n)
+    return [smoothability_report(w) for w in map(WeightTuple, _raw_solutions(n, bound))
+            if is_well_formed(w)]
 
 
 def brute_force_oracle(n: int, bound: int) -> list[WeightTuple]:
@@ -132,10 +134,11 @@ def brute_force_oracle(n: int, bound: int) -> list[WeightTuple]:
     Visits every ascending (n+1)-tuple with entries in 1..bound and tests the
     equation on each, then filters well-formedness.  Only the partial sums and
     products are kept incrementally; nothing is skipped.  Refuses inputs where
-    bound^(n+1) exceeds the iteration cutoff.
+    bound^(n+1) exceeds the iteration cutoff or n exceeds MAX_SEARCH_DIMENSION.
     """
     if n < 1 or bound < 1:
         raise ValueError("need n >= 1 and bound >= 1")
+    _check_dimension(n)
     if bound ** (n + 1) > ORACLE_ITERATION_CUTOFF:
         raise ValueError(
             f"oracle refuses: bound^(n+1) = {bound ** (n + 1)} exceeds "

@@ -23,7 +23,8 @@ from functools import cached_property
 from math import gcd
 
 from .mutation import Classification, classify_solution
-from .weights import WeightTuple, _cofactor_gcds, is_well_formed, satisfies_degeneration_equation
+from .weights import (CostLimitError, WeightTuple, _cofactor_gcds, is_well_formed,
+                      satisfies_degeneration_equation)
 
 # Most group elements reid_tai_classify walks in search of an age below 1.
 # Terminal and canonical germs have none, so they would walk all r - 1: about
@@ -71,10 +72,6 @@ class CyclicQuotient:
         return reid_tai_classify(self)
 
 
-class GermTooLargeError(ValueError):
-    """No age below 1 among the first MAX_REID_TAI_WALK elements of a larger germ."""
-
-
 def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
     """Classify a cyclic quotient germ by the minimal age of a group element.
 
@@ -93,7 +90,7 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
     The age walk then stops at the first age < 1 (StrictlyKlt); terminal and
     canonical germs walk all r - 1 elements.  When r - 1 exceeds
     MAX_REID_TAI_WALK and none of the first MAX_REID_TAI_WALK elements has
-    age < 1, GermTooLargeError is raised instead of walking on.
+    age < 1, CostLimitError is raised instead of walking on.
     """
     r = germ.order
     ws = germ.weights
@@ -110,9 +107,9 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
             return Verdict.STRICTLY_KLT
         canonical = canonical or numerator == r
     if r - 1 > MAX_REID_TAI_WALK:
-        raise GermTooLargeError(f"{germ.notation()}: no age below 1 among the first "
-                                f"{MAX_REID_TAI_WALK} of {r - 1} elements; the rest is "
-                                "past the Reid-Tai walk limit")
+        raise CostLimitError(f"{germ.notation()}: no age below 1 among the first "
+                             f"{MAX_REID_TAI_WALK} of {r - 1} elements; the rest is "
+                             "past the Reid-Tai walk limit")
     return Verdict.STRICTLY_CANONICAL if canonical else Verdict.TERMINAL
 
 

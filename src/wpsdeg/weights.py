@@ -116,8 +116,8 @@ MAX_DENUMERANT_TABLE = 10**7
 _PIECE = 4096
 
 
-class DenumerantTooLargeError(ValueError):
-    """The table a denumerant needs has more than MAX_DENUMERANT_TABLE entries."""
+class CostLimitError(ValueError):
+    """Input past a cost limit: denumerant table, Reid-Tai walk or search dimension."""
 
 
 def denumerant(degree: int, weights) -> int:
@@ -143,7 +143,7 @@ def denumerant(degree: int, weights) -> int:
     of the plain in-place loop.  The largest weight a_n is never filled:
     each count read is the strided sum table[m] + table[m - a_n] + ...
     Cost O(n * min(N, rho + n * L)) additions; a table past
-    MAX_DENUMERANT_TABLE raises DenumerantTooLargeError before allocating.
+    MAX_DENUMERANT_TABLE raises CostLimitError before allocating.
     """
     w = WeightTuple(weights)
     if degree < 0:
@@ -152,8 +152,8 @@ def denumerant(degree: int, weights) -> int:
     x, rho = divmod(degree, period)
     top = min(degree, rho + n * period)
     if top >= MAX_DENUMERANT_TABLE:
-        raise DenumerantTooLargeError(f"denumerant of degree {degree} on {tuple(w)} needs "
-                                      f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
+        raise CostLimitError(f"denumerant of degree {degree} on {tuple(w)} needs "
+                             f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
     table = [1] + [0] * top
     *rest, largest = w
     for c in rest:

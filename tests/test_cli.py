@@ -416,6 +416,47 @@ def test_number_of_weights_sets_no_exponential_cost(capsys):
     assert out.startswith("weights,")
 
 
+def test_dimension_past_search_limit_is_usage_error(capsys):
+    # Below the limit the search would recurse 995 levels deep and crash.
+    start = process_time()
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--dim", "995", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert process_time() - start < 1.0
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "dimension 995 is past the search limit of 500" in captured.err
+
+
+def _decimal_product(offsets, digits):
+    """prod(10^digits + k) written out from its coefficients in X = 10^digits,
+    which all stay below X, so no large int is converted to a string."""
+    coefficients = [1]
+    for k in offsets:
+        coefficients = [a + k * b for a, b in zip(coefficients + [0], [0] + coefficients)]
+    return "1" + "".join(str(c).zfill(digits) for c in coefficients[1:])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table", "md"])
+def test_products_past_the_int_str_limit_print_in_full(capsys, fmt):
+    # CPython refuses int/str conversions past 4300 digits by default; this
+    # product has 4801.  Exit 1 is the verdict: not a solution.
+    weights = ",".join("1" + str(k).zfill(1200) for k in (1, 3, 7, 9))
+    code, out = run(capsys, "classify", weights, "--format", fmt)
+    assert code == 1
+    product = _decimal_product((1, 3, 7, 9), 1200)
+    assert len(product) == 4801
+    assert product in out
+    assert "not a solution" in out
+
+
+def test_weight_past_the_int_str_limit_is_parsed(capsys):
+    weights = ["1" + str(k).zfill(4400) for k in (1, 3, 7, 9)]
+    code, out = run(capsys, "classify", ",".join(weights), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["record"]["weights"] == weights
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run_usage_error(capsys) == 2
 

@@ -20,7 +20,8 @@ from wpsdeg import (
     lift,
     satisfies_degeneration_equation,
 )
-from wpsdeg.search import _divisors_bounded, _factorize, _raw_solutions
+from wpsdeg.search import MAX_SEARCH_DIMENSION, _divisors_bounded, _factorize, _raw_solutions
+from wpsdeg.weights import CostLimitError
 
 
 def divisor_scan_raw_solutions(n, bound):
@@ -138,6 +139,25 @@ class TestEnumerate:
             expected = Fraction((-1) ** n * (n + 1) ** n)
             for s in enumerate_solutions(n, 60):
                 assert anticanonical_volume(s.weights) == expected
+
+
+class TestDimensionLimit:
+    """Both searches recurse once per weight, so a dimension past the limit is
+    refused before any search instead of overflowing the stack."""
+
+    @pytest.mark.parametrize("search", [enumerate_solutions, brute_force_oracle])
+    def test_refused_past_limit(self, search):
+        limit = MAX_SEARCH_DIMENSION
+        with pytest.raises(CostLimitError, match=f"past the search limit of {limit}"):
+            search(limit + 1, 1)
+
+    def test_enumerate_at_limit(self):
+        assert [tuple(s.weights) for s in enumerate_solutions(MAX_SEARCH_DIMENSION, 2)] == [
+            (1,) * (MAX_SEARCH_DIMENSION + 1)]
+
+    def test_oracle_at_limit(self):
+        assert [tuple(w) for w in brute_force_oracle(MAX_SEARCH_DIMENSION, 1)] == [
+            (1,) * (MAX_SEARCH_DIMENSION + 1)]
 
 
 class TestClosedFormPair:

@@ -20,6 +20,7 @@ from wpsdeg import (
     smoothability_report,
 )
 from wpsdeg import singular
+from wpsdeg.weights import CostLimitError
 
 well_formed_tuples = st.lists(st.integers(1, 60), min_size=3, max_size=5).map(
     lambda entries: normalize(entries))
@@ -139,7 +140,7 @@ class TestReidTai:
         monkeypatch.setattr(singular, "MAX_REID_TAI_WALK", 9)
         assert reid_tai_classify(germ) is Verdict.STRICTLY_KLT
         monkeypatch.setattr(singular, "MAX_REID_TAI_WALK", 8)
-        with pytest.raises(singular.GermTooLargeError, match=r"first 8 of 12 elements"):
+        with pytest.raises(CostLimitError, match=r"first 8 of 12 elements"):
             reid_tai_classify(germ)
 
     def test_walk_limit_applies_past_the_last_element_only(self, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -21,7 +22,7 @@ from wpsdeg import (
     normalize,
     satisfies_degeneration_equation,
 )
-from wpsdeg.weights import DenumerantTooLargeError
+from wpsdeg.weights import CostLimitError
 
 
 def denumerant_table(top, weights):
@@ -225,10 +226,54 @@ class TestDenumerant:
     def test_table_past_limit_raises_before_filling(self):
         # lcm is about 9.5e11, so no interpolation applies at this degree.
         start = perf_counter()
-        with pytest.raises(DenumerantTooLargeError, match="table entries"):
+        with pytest.raises(CostLimitError, match="table entries"):
             denumerant(987 * 10**9, (977, 983, 991, 997))
         assert perf_counter() - start < 1.0
-        assert issubclass(DenumerantTooLargeError, ValueError)
+        assert issubclass(CostLimitError, ValueError)
+
+
+def popoviciu(degree, a, b):
+    """Two-weight count in closed form (Popoviciu, 1953), integers only.
+
+    With g = gcd(a, b) the count is 0 unless g | N; otherwise divide N, a and
+    b by g, and p(N) = (N - b * (b' N mod a) - a * (a' N mod b)) / (a b) + 1
+    with a' = a^-1 mod b and b' = b^-1 mod a.
+    """
+    g = gcd(a, b)
+    if degree % g:
+        return 0
+    degree, a, b = degree // g, a // g, b // g
+    numerator = degree - b * (pow(b, -1, a) * degree % a) - a * (pow(a, -1, b) * degree % b)
+    assert numerator % (a * b) == 0
+    return numerator // (a * b) + 1
+
+
+class TestDenumerantAgainstPopoviciu:
+    """An oracle for the Newton branch independent of any table: past
+    rho + n * lcm, denumerant interpolates instead of counting."""
+
+    def test_two_weights_up_to_huge_degree(self):
+        rng = random.Random(11)
+        interpolated = 0
+        for _ in range(2000):
+            a, b = rng.randint(1, 60), rng.randint(1, 60)
+            degree = rng.randrange(10 ** rng.randint(1, 15))
+            interpolated += degree // lcm(a, b) > 1
+            assert denumerant(degree, (a, b)) == popoviciu(degree, a, b), (degree, a, b)
+        assert interpolated > 1500
+
+    def test_three_weights_by_summing_one_exponent(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            a, b, c = sorted(rng.randint(1, 12) for _ in range(3))
+            degree = rng.randint(3 * lcm(a, b, c), 2 * 10**4)
+            expected = sum(popoviciu(degree - k * c, a, b) for k in range(degree // c + 1))
+            assert denumerant(degree, (a, b, c)) == expected, (degree, a, b, c)
+
+    def test_formula_matches_brute_force_on_small_degrees(self):
+        for a, b in combinations_with_replacement(range(1, 9), 2):
+            for degree in range(40):
+                assert popoviciu(degree, a, b) == brute_denumerant(degree, (a, b))
 
 
 class TestAutDimension:
