@@ -8,7 +8,9 @@ carries a timestamp (the markdown report embeds the version string only).
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
 non-integral divisor degree), 2 usage error or a cost limit (CostLimitError):
 a denumerant table past weights.MAX_DENUMERANT_TABLE, a Reid-Tai walk past
-singular.MAX_REID_TAI_WALK, or a dimension past search.MAX_SEARCH_DIMENSION.
+singular.MAX_REID_TAI_WALK, a dimension past search.MAX_SEARCH_DIMENSION, a
+search past search.MAX_SEARCH_BOUND or search.MAX_SEARCH_TUPLES, or a tree
+past mutation.MAX_TREE_WEIGHT.
 """
 
 from __future__ import annotations

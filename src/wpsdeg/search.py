@@ -10,18 +10,20 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 
     prod(a_i) = m^n,    sum(a_i) = (n+1) * m.
 
-Every a_i therefore divides m^n.  For each m up to the bound we enumerate
-ascending tuples of divisors of m^n with the prescribed sum and product;
-the divisibility and sum/product window constraints cut the tree down to
-almost nothing.  The last two weights are never searched: once all others
-are fixed, the remaining sum S and product P make them the roots x <= y of
-t^2 - S*t + P, so one integer square root of S^2 - 4P decides the branch
-(`_raw_solutions` says why it needs no parity check and two range checks).
+Every a_i therefore divides m^n.  For each m up to the bound we walk the
+divisors of m^n that are at most the bound from the largest weight down:
+each weight lies between the mean of the weights left and the last pick,
+and the product left caps how far it may fall, so the bound starts the walk
+instead of failing its leaves.  The two smallest weights are never
+searched: once all others are fixed, the remaining sum S and product P make
+them the roots x <= y of t^2 - S*t + P, so one integer square root of
+S^2 - 4P decides the branch (`_raw_solutions` gives the range checks).
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from bisect import bisect_left
+from math import comb, isqrt
 
 # classify_solution and isolated_rigid_points are read here only by bench/spans.py PROBES.
 from .mutation import classify_solution
@@ -35,6 +37,18 @@ ORACLE_ITERATION_CUTOFF = 10 ** 9
 # Largest dimension either search accepts: both recurse once per weight, and
 # 500 levels leave half of CPython's default recursion limit to the caller.
 MAX_SEARCH_DIMENSION = 500
+
+# Largest bound the search accepts: it factors and walks every m up to the
+# bound.  Dimension 3 takes about 3 s at this bound, dimensions 1 and 2 less
+# (2-core VM, CPython 3.11.7).
+MAX_SEARCH_BOUND = 4 * 10**4
+
+# Largest walk the search accepts, sized as comb(bound + n - 2, n - 1), the
+# non-increasing (n-1)-tuples of weights <= bound that one m's walk would
+# visit without its breaks.  At this size the walk takes about 2 s at
+# (n, bound) = (4, 4931), 0.7 s at (5, 830), 0.15 s at (8, 97) and 0.08 s at
+# (500, 5) (same machine); (4, 1000) and (5, 200) are over 100 times smaller.
+MAX_SEARCH_TUPLES = 2 * 10**10
 
 
 def _check_dimension(n: int) -> None:
@@ -65,48 +79,43 @@ def _divisors_bounded(factors: dict[int, int], bound: int) -> list[int]:
 
 def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
-    well-formed or not.  The last two weights x <= y are the roots of
-    t^2 - S*t + P (remaining sum and product); no parity check is needed, as
-    the root of S^2 - 4P has the parity of S.  Since x * y = P divides m^n and
-    x <= y <= bound, x is a walked divisor, so x >= divs[start] (the walk stays
-    ascending) and y <= bound are the only range checks.  Each m has its own
-    sum and the ascending walk visits a tuple once: no duplicates."""
+    well-formed or not.  The weights are picked from the largest down, each
+    one a divisor of m^n no larger than the one before, so the first pick
+    starts at the bound.  With k weights left, of sum S and product P, the
+    largest is at least ceil(S / k), where the walk stops, and at most a with
+    a^k >= P, which breaks the walk as a falls.  The two smallest weights
+    x <= y are the roots of t^2 - S*t + P; no parity check is needed, as the
+    root of S^2 - 4P has the parity of S.  They are kept when x >= 1 (a pick
+    past the sum left makes S and both roots negative) and y <= the last pick
+    (or the bound).  Each m has its own sum and the descending walk visits a
+    tuple once: no duplicates."""
     out: list[tuple[int, ...]] = []
-    slots_total = n + 1
     for m in range(1, bound + 1):
-        target_prod = m ** n
         factors = {p: e * n for p, e in _factorize(m).items()}
         divs = _divisors_bounded(factors, bound)
 
-        def extend(start: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
+        def extend(top: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
             if slots == 2:
                 disc = sum_left * sum_left - 4 * prod_left
                 if disc < 0:
                     return
                 root = isqrt(disc)
-                if root * root == disc:
-                    # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
-                    x, y = (sum_left - root) // 2, (sum_left + root) // 2
-                    if x >= divs[start] and y <= bound:
-                        out.append((*acc, x, y))
+                # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
+                x, y = (sum_left - root) // 2, (sum_left + root) // 2
+                if root * root == disc and x >= 1 and y <= divs[top]:
+                    out.append((x, y, *reversed(acc)))
                 return
-            for idx in range(start, len(divs)):
+            for idx in range(top, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
                 a = divs[idx]
-                # entries are ascending, so the remaining sum is at least slots * a
-                if a * slots > sum_left:
+                if a ** slots < prod_left:
                     break
                 if prod_left % a:
                     continue
-                rest = prod_left // a
-                if rest > bound ** (slots - 1):
-                    continue
-                if rest < a ** (slots - 1):
-                    continue
                 acc.append(a)
-                extend(idx, slots - 1, sum_left - a, rest, acc)
+                extend(idx, slots - 1, sum_left - a, prod_left // a, acc)
                 acc.pop()
 
-        extend(0, slots_total, slots_total * m, target_prod, [])
+        extend(len(divs) - 1, n + 1, (n + 1) * m, m ** n, [])
     return sorted(out)
 
 
@@ -116,14 +125,22 @@ def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:
     Returns the smoothability_report of each, sorted by canonical tuple.
     Raw solutions that are not well-formed are discarded, not normalized:
     normalization changes sum and product, so the normalized tuple would not
-    satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION raises
-    CostLimitError.
+    satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION, a bound
+    past MAX_SEARCH_BOUND or a walk past MAX_SEARCH_TUPLES raises
+    CostLimitError before any factoring.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     _check_dimension(n)
+    if bound > MAX_SEARCH_BOUND:
+        raise CostLimitError(f"bound {bound} is past the search limit of {MAX_SEARCH_BOUND} "
+                             "(every m up to the bound is factored and walked)")
+    if comb(bound + n - 2, n - 1) > MAX_SEARCH_TUPLES:
+        raise CostLimitError(f"dimension {n} with bound {bound} is past the search limit: "
+                             f"comb({bound + n - 2}, {n - 1}) weight tuples to walk, "
+                             f"over {MAX_SEARCH_TUPLES}")
     return [smoothability_report(w) for w in map(WeightTuple, _raw_solutions(n, bound))
             if is_well_formed(w)]
 

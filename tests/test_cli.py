@@ -416,16 +416,28 @@ def test_number_of_weights_sets_no_exponential_cost(capsys):
     assert out.startswith("weights,")
 
 
-def test_dimension_past_search_limit_is_usage_error(capsys):
-    # Below the limit the search would recurse 995 levels deep and crash.
+@pytest.mark.parametrize("argv,message", [
+    # Below the dimension limit the search would recurse 995 levels deep and crash.
+    (["enumerate", "--dim", "995", "--bound", "1"],
+     "dimension 995 is past the search limit of 500"),
+    # Without the other limits the next call would not finish, and a max weight
+    # of a few thousand digits would hold millions of tree nodes before printing.
+    (["enumerate", "--dim", "3", "--bound", str(10**11)],
+     f"bound {10**11} is past the search limit of 40000"),
+    (["enumerate", "--dim", "6", "--bound", "1000"],
+     "dimension 6 with bound 1000 is past the search limit"),
+    (["tree", "--family", "markov", "--max-weight", str(10**100 + 1)],
+     "past the tree limit of 1e+100"),
+])
+def test_cost_limit_is_usage_error(capsys, argv, message):
     start = process_time()
     with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--dim", "995", "--bound", "1"])
+        main(argv)
     captured = capsys.readouterr()
-    assert process_time() - start < 1.0
+    assert process_time() - start < 0.1
     assert info.value.code == 2
     assert captured.out == ""
-    assert "dimension 995 is past the search limit of 500" in captured.err
+    assert message in captured.err
 
 
 def _decimal_product(offsets, digits):

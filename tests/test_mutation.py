@@ -19,6 +19,8 @@ from wpsdeg import (
     sum_mutate,
     sum_type_decompose,
 )
+from wpsdeg.mutation import MAX_TREE_WEIGHT
+from wpsdeg.weights import CostLimitError
 
 
 def random_markov_walk(seed: int, steps: int) -> MarkovTriple:
@@ -256,3 +258,10 @@ class TestGenerateTree:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             generate_tree(Family.MARKOV, 0)
+
+    def test_bound_past_limit(self):
+        with pytest.raises(CostLimitError, match="past the tree limit"):
+            generate_tree(Family.SUM, MAX_TREE_WEIGHT + 1)
+
+    def test_bound_at_limit(self):
+        assert len(generate_tree(Family.MARKOV, MAX_TREE_WEIGHT).nodes) == 9670

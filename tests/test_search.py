@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,15 @@ from wpsdeg import (
     lift,
     satisfies_degeneration_equation,
 )
-from wpsdeg.search import MAX_SEARCH_DIMENSION, _divisors_bounded, _factorize, _raw_solutions
+from wpsdeg import search
+from wpsdeg.search import (
+    MAX_SEARCH_BOUND,
+    MAX_SEARCH_DIMENSION,
+    MAX_SEARCH_TUPLES,
+    _divisors_bounded,
+    _factorize,
+    _raw_solutions,
+)
 from wpsdeg.weights import CostLimitError
 
 
@@ -41,6 +49,55 @@ def divisor_scan_raw_solutions(n, bound):
                 return
             for idx in range(start, len(divs)):
                 a = divs[idx]
+                if a * slots > sum_left:
+                    break
+                if prod_left % a:
+                    continue
+                rest = prod_left // a
+                if rest > bound ** (slots - 1):
+                    continue
+                if rest < a ** (slots - 1):
+                    continue
+                acc.append(a)
+                extend(idx, slots - 1, sum_left - a, rest, acc)
+                acc.pop()
+
+        extend(0, slots_total, slots_total * m, target_prod, [])
+    return sorted(out)
+
+
+# Reference for the descending walk: the search as it was when it picked the
+# weights in ascending order and solved for the two largest at the leaf.
+def ascending_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
+    """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
+    well-formed or not.  The last two weights x <= y are the roots of
+    t^2 - S*t + P (remaining sum and product); no parity check is needed, as
+    the root of S^2 - 4P has the parity of S.  Since x * y = P divides m^n and
+    x <= y <= bound, x is a walked divisor, so x >= divs[start] (the walk stays
+    ascending) and y <= bound are the only range checks.  Each m has its own
+    sum and the ascending walk visits a tuple once: no duplicates."""
+    out: list[tuple[int, ...]] = []
+    slots_total = n + 1
+    for m in range(1, bound + 1):
+        target_prod = m ** n
+        factors = {p: e * n for p, e in _factorize(m).items()}
+        divs = _divisors_bounded(factors, bound)
+
+        def extend(start: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
+            if slots == 2:
+                disc = sum_left * sum_left - 4 * prod_left
+                if disc < 0:
+                    return
+                root = isqrt(disc)
+                if root * root == disc:
+                    # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
+                    x, y = (sum_left - root) // 2, (sum_left + root) // 2
+                    if x >= divs[start] and y <= bound:
+                        out.append((*acc, x, y))
+                return
+            for idx in range(start, len(divs)):
+                a = divs[idx]
+                # entries are ascending, so the remaining sum is at least slots * a
                 if a * slots > sum_left:
                     break
                 if prod_left % a:
@@ -160,11 +217,53 @@ class TestDimensionLimit:
             (1,) * (MAX_SEARCH_DIMENSION + 1)]
 
 
+class TestBoundLimit:
+    """The bound is refused before any factoring once the search would take
+    seconds; the settings the tests and the benchmark use stay inside."""
+
+    @pytest.fixture
+    def no_factoring(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("factored past the limit")
+        monkeypatch.setattr(search, "_factorize", refuse)
+
+    def test_bound_past_limit(self, no_factoring):
+        with pytest.raises(CostLimitError, match=f"past the search limit of {MAX_SEARCH_BOUND}"):
+            enumerate_solutions(3, MAX_SEARCH_BOUND + 1)
+
+    @pytest.mark.parametrize("n,bound", [(4, 5000), (6, 1000), (24, 17), (500, 6)])
+    def test_walk_past_limit(self, no_factoring, n, bound):
+        assert comb(bound + n - 2, n - 1) > MAX_SEARCH_TUPLES
+        with pytest.raises(CostLimitError, match=f"over {MAX_SEARCH_TUPLES}"):
+            enumerate_solutions(n, bound)
+
+    @pytest.mark.parametrize("n,bound", [(1, MAX_SEARCH_BOUND), (3, MAX_SEARCH_BOUND),
+                                         (3, 2000), (3, 10_000), (4, 1000), (5, 200),
+                                         (4, 4931), (500, 5)])
+    def test_inside_limit(self, monkeypatch, n, bound):
+        monkeypatch.setattr(search, "_raw_solutions", lambda n, bound: [])
+        assert enumerate_solutions(n, bound) == []
+
+
 class TestClosedFormPair:
     @pytest.mark.parametrize("n,bound", [(1, 2000), (2, 3000), (3, 600),
                                          (4, 200), (5, 120), (6, 40)])
     def test_matches_divisor_scan(self, n, bound):
         assert _raw_solutions(n, bound) == divisor_scan_raw_solutions(n, bound)
+
+
+class TestDescendingWalk:
+    """The descending walk against the ascending one it replaced."""
+
+    # At (2, 300) a leaf without the x >= 1 check would keep (-9, -1, 100).
+    @pytest.mark.parametrize("n,bound", [(2, 300), (3, 2000), (4, 500), (5, 200), (6, 60)])
+    def test_matches_ascending_walk(self, n, bound):
+        assert _raw_solutions(n, bound) == ascending_raw_solutions(n, bound)
+
+    @pytest.mark.parametrize("n,top", [(1, 60), (2, 120), (3, 40), (4, 25), (5, 16), (6, 12)])
+    def test_matches_ascending_walk_at_every_bound(self, n, top):
+        for bound in range(1, top + 1):
+            assert _raw_solutions(n, bound) == ascending_raw_solutions(n, bound), bound
 
 
 class TestOracle:
