@@ -6,7 +6,8 @@ byte-deterministic: records are sorted, field order is fixed, and nothing
 carries a timestamp (the markdown report embeds the version string only).
 
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
-non-integral divisor degree), 2 usage error or a cost limit (CostLimitError):
+non-integral divisor degree), 2 usage error (an --out path that cannot be
+opened for writing is one) or a cost limit (CostLimitError):
 a denumerant table past weights.MAX_DENUMERANT_TABLE, a Reid-Tai walk past
 singular.MAX_REID_TAI_WALK, a dimension past search.MAX_SEARCH_DIMENSION, a
 search past search.MAX_SEARCH_BOUND or search.MAX_SEARCH_TUPLES, or a tree
@@ -122,7 +123,11 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            build_parser().error(f"cannot write --out {args.out}: {exc.strerror}")
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -164,8 +169,8 @@ _LITERATURE_STATUS = [
 
 
 def cmd_enumerate(args) -> int:
-    records = [record_for_solution(report, args.degree, args.q)
-               for report in search.enumerate_solutions(args.dim, args.bound)]
+    records = [record_for_solution(w, args.degree, args.q)
+               for w in search.enumerate_solutions(args.dim, args.bound)]
     obj = {"dim": str(args.dim), "bound": str(args.bound), "count": str(len(records)),
            "solutions": [to_json_obj(r) for r in records]}
     header, rows = _record_table(records, args.format)

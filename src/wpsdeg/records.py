@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .singular import SmoothabilityReport, smoothability_report
+from .singular import smoothability_report
 from .weights import (
     NonIntegralDegreeError,
     WeightTuple,
@@ -37,31 +37,18 @@ class SolutionRecord:
 FIELD_NAMES = [f.name for f in fields(SolutionRecord)]
 
 
-def _base_fields(w: WeightTuple) -> dict:
-    volume = anticanonical_volume(w)
-    return {
-        "weights": tuple(w),
-        "sum": w.total,
-        "product": w.product,
-        "volume_num": volume.numerator,
-        "volume_den": volume.denominator,
-    }
-
-
-def record_for_solution(solution, degree: int | None = None,
+def record_for_solution(weights, degree: int | None = None,
                         q: int | None = None) -> SolutionRecord:
     """Full record for a well-formed solution; moduli_dim when degree given.
 
-    solution is a SmoothabilityReport, reused as is, or a weight tuple,
-    analysed here.  q defaults to dim+1.  A divisor degree that is not
-    integral for these weights leaves moduli_dim as None rather than failing
-    the whole record.
+    The weights are analysed by smoothability_report, which raises ValueError
+    on a tuple that is not well-formed or fails the degeneration equation.
+    q defaults to dim+1.  A divisor degree that is not integral for these
+    weights leaves moduli_dim as None rather than failing the whole record.
     """
-    if isinstance(solution, SmoothabilityReport):
-        report = solution
-    else:
-        report = smoothability_report(solution)
+    report = smoothability_report(weights)
     w = report.weights
+    volume = anticanonical_volume(w)
     moduli_dim = None
     if degree is not None:
         try:
@@ -69,24 +56,18 @@ def record_for_solution(solution, degree: int | None = None,
         except NonIntegralDegreeError:
             pass
     return SolutionRecord(
-        classification=str(report.classification) if report.classification else None,
-        rigid_points=tuple(s.transverse.notation() for s in report.rigid_points),
-        verdict_text=report.verdict_text,
-        moduli_dim=moduli_dim,
-        **_base_fields(w),
-    )
+        tuple(w), w.total, w.product, volume.numerator, volume.denominator,
+        str(report.classification) if report.classification else None,
+        tuple(s.transverse.notation() for s in report.rigid_points),
+        report.verdict_text, moduli_dim)
 
 
 def record_for_non_solution(weights) -> SolutionRecord:
     """Record for a tuple that fails the degeneration equation."""
     w = WeightTuple(weights)
-    return SolutionRecord(
-        classification=None,
-        rigid_points=(),
-        verdict_text="not a solution",
-        moduli_dim=None,
-        **_base_fields(w),
-    )
+    volume = anticanonical_volume(w)
+    return SolutionRecord(tuple(w), w.total, w.product, volume.numerator,
+                          volume.denominator, None, (), "not a solution")
 
 
 def _json_value(value):

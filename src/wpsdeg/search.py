@@ -3,6 +3,7 @@
 Well-formed solution tuples are the weighted projective spaces that can
 degenerate from P^n.  The search is exact and complete up to a max-weight
 bound, and ships with an independent unpruned oracle for cross-checking.
+Both return the bare weight tuples; analysing them is left to the caller.
 
 The fast enumeration leans on the structure of the equation.  Write
 s = sum(a_i).  Then (n+1)^n divides s^n, which forces (n+1) | s prime by
@@ -27,7 +28,7 @@ from math import comb, isqrt
 
 # classify_solution and isolated_rigid_points are read here only by bench/spans.py PROBES.
 from .mutation import classify_solution
-from .singular import SmoothabilityReport, isolated_rigid_points, smoothability_report
+from .singular import isolated_rigid_points
 from .weights import CostLimitError, WeightTuple, is_well_formed
 
 # The unpruned oracle walks every ascending tuple; refuse anything that would
@@ -119,10 +120,10 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:
+def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
     """All well-formed solutions of dimension n with max weight <= bound.
 
-    Returns the smoothability_report of each, sorted by canonical tuple.
+    Returns their WeightTuples in ascending order, as brute_force_oracle does.
     Raw solutions that are not well-formed are discarded, not normalized:
     normalization changes sum and product, so the normalized tuple would not
     satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION, a bound
@@ -141,8 +142,7 @@ def enumerate_solutions(n: int, bound: int) -> list[SmoothabilityReport]:
         raise CostLimitError(f"dimension {n} with bound {bound} is past the search limit: "
                              f"comb({bound + n - 2}, {n - 1}) weight tuples to walk, "
                              f"over {MAX_SEARCH_TUPLES}")
-    return [smoothability_report(w) for w in map(WeightTuple, _raw_solutions(n, bound))
-            if is_well_formed(w)]
+    return [w for w in map(WeightTuple, _raw_solutions(n, bound)) if is_well_formed(w)]
 
 
 def brute_force_oracle(n: int, bound: int) -> list[WeightTuple]:

@@ -32,6 +32,7 @@ from wpsdeg import (
     moduli_component_dimension,
     satisfies_degeneration_equation,
     singular_strata,
+    smoothability_report,
     sum_mutate,
 )
 
@@ -54,7 +55,7 @@ def _is_dim3_solution(w: tuple, bound: int) -> bool:
 
 def test_criterion_01_table_reproduction():
     start = time.perf_counter()
-    found = [tuple(s.weights) for s in enumerate_solutions(3, 125)]
+    found = [tuple(s) for s in enumerate_solutions(3, 125)]
     elapsed = time.perf_counter() - start
     extras = sorted(set(found) - set(TABLE_TEN))
     missing = sorted(set(TABLE_TEN) - set(found))
@@ -72,9 +73,9 @@ def test_criterion_01_table_reproduction():
 
 
 def test_criterion_02_classification_split():
-    by_weights = {tuple(s.weights): s.classification
+    by_weights = {tuple(s): smoothability_report(s).classification
                   for s in enumerate_solutions(3, 125)
-                  if tuple(s.weights) in set(TABLE_TEN)}
+                  if tuple(s) in set(TABLE_TEN)}
     p2 = {w for w, c in by_weights.items()
           if c in (Classification.P2_TYPE, Classification.BOTH)}
     sums = {w for w, c in by_weights.items()
@@ -129,8 +130,8 @@ def test_criterion_06_volume_conservation():
     for n in range(2, 6):
         expected = Fraction((-1) ** n * (n + 1) ** n)
         for sol in enumerate_solutions(n, 200):
-            if anticanonical_volume(sol.weights) != expected:
-                failures.append((n, tuple(sol.weights)))
+            if anticanonical_volume(sol) != expected:
+                failures.append((n, tuple(sol)))
     ok = not failures
     _criterion(6, "anticanonical volume is (-1)^n (n+1)^n on all solutions, "
                   "dims 2-5, bound 200", ok, f"violations: {failures}")
@@ -140,7 +141,7 @@ def test_criterion_07_oracle_equivalence():
     mismatches = []
     for n, bounds in ((2, (37, 141, 300)), (3, (17, 60, 125))):
         for bound in bounds:
-            fast = [tuple(s.weights) for s in enumerate_solutions(n, bound)]
+            fast = [tuple(s) for s in enumerate_solutions(n, bound)]
             slow = [tuple(w) for w in brute_force_oracle(n, bound)]
             if fast != slow:
                 mismatches.append((n, bound, fast, slow))
@@ -191,12 +192,12 @@ def test_criterion_09_lifting():
     failures = []
     solutions = enumerate_solutions(2, 300)
     for sol in solutions:
-        if sol.weights.total % 3 != 0:
-            failures.append(("sum not divisible by 3", tuple(sol.weights)))
+        if sol.total % 3 != 0:
+            failures.append(("sum not divisible by 3", tuple(sol)))
             continue
-        lifted = lift(sol.weights)
+        lifted = lift(sol)
         if lifted is None or not satisfies_degeneration_equation(lifted):
-            failures.append(("lift failed", tuple(sol.weights)))
+            failures.append(("lift failed", tuple(sol)))
     ok = bool(solutions) and not failures
     _criterion(9, "every dim-2 solution with max weight <= 300 lifts to a dim-3 "
                   "solution", ok,

@@ -115,6 +115,17 @@ class TestEnumerate:
         assert out == ""
         assert target.read_text(encoding="utf-8") == streamed
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "1,1,1,1", "--out", path])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"cannot write --out {path}" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestClassify:
     def test_p2_type(self, capsys):
@@ -474,7 +485,7 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 class TestEachTupleAnalysedOnce:
-    """The CLI reuses the search's analysis instead of redoing it per record."""
+    """Each tuple is analysed once, by the record built for it."""
 
     @pytest.fixture
     def strata_calls(self, monkeypatch):
@@ -489,6 +500,25 @@ class TestEachTupleAnalysedOnce:
 
         monkeypatch.setattr(wpsdeg.singular, "singular_strata", counting)
         return calls
+
+    @pytest.mark.parametrize("argv,reports", [
+        (["enumerate", "--dim", "3", "--bound", "125", "--format", "json"], 13),
+        (["classify", "1,4,16,27"], 1),
+        (["classify", "1,1,1,2"], 0),
+    ])
+    def test_records_build_every_report(self, capsys, monkeypatch, argv, reports):
+        import wpsdeg.records
+
+        calls = []
+        original = wpsdeg.records.smoothability_report
+
+        def counting(weights):
+            calls.append(tuple(weights))
+            return original(weights)
+
+        monkeypatch.setattr(wpsdeg.records, "smoothability_report", counting)
+        run(capsys, *argv)
+        assert len(calls) == reports
 
     def test_enumerate_one_strata_call_per_solution(self, capsys, strata_calls):
         code, out = run(capsys, "enumerate", "--dim", "4", "--bound", "300",

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,16 @@ def test_rigid_point_notation():
     record = record_for_solution((1, 4, 16, 27))
     assert record.rigid_points == ("1/27(1,4,16)",)
     assert record.verdict_text == "not smoothable (rigid point)"
+
+
+@pytest.mark.parametrize("weights,message", [
+    ((1, 1, 1, 2), "not a degeneration solution"),
+    # 64 * 3 * 3 * 3 * 27 = 36^3, but 3 divides every weight.
+    ((3, 3, 3, 27), "not well-formed"),
+])
+def test_record_refuses_what_is_not_a_well_formed_solution(weights, message):
+    with pytest.raises(ValueError, match=message):
+        record_for_solution(weights)
 
 
 def test_non_solution_record():

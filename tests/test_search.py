@@ -19,6 +19,7 @@ from wpsdeg import (
     is_well_formed,
     lift,
     satisfies_degeneration_equation,
+    smoothability_report,
 )
 from wpsdeg import search
 from wpsdeg.search import (
@@ -116,7 +117,7 @@ def ascending_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
 
 
 def well_formed_lifts(solutions, bound):
-    lifts = (lift(s.weights) for s in solutions)
+    lifts = (lift(s) for s in solutions)
     return {tuple(w) for w in lifts if is_well_formed(w) and max(w) <= bound}
 
 
@@ -134,48 +135,48 @@ class TestCandidateCheck:
 
 class TestEnumerate:
     def test_dim3_tiny_bound(self):
-        tuples = [tuple(s.weights) for s in enumerate_solutions(3, 4)]
+        tuples = [tuple(s) for s in enumerate_solutions(3, 4)]
         assert tuples == [(1, 1, 1, 1), (1, 1, 2, 4)]
 
     def test_dim2_bound_25(self):
-        tuples = [tuple(s.weights) for s in enumerate_solutions(2, 25)]
+        tuples = [tuple(s) for s in enumerate_solutions(2, 25)]
         assert tuples == [(1, 1, 1), (1, 1, 4), (1, 4, 25)]
 
     def test_dim3_bound_125_full_set(self):
         # Pinned against the unpruned oracle; a strict superset of the
         # classical ten-entry table: (1, 18, 96, 125) and (1, 27, 27, 125)
         # sit at the bound, (5, 6, 9, 100) well inside it.
-        tuples = [tuple(s.weights) for s in enumerate_solutions(3, 125)]
+        tuples = [tuple(s) for s in enumerate_solutions(3, 125)]
         assert tuples == FOUND_AT_125
 
     def test_classification_annotations(self):
-        by_weights = {tuple(s.weights): s for s in enumerate_solutions(3, 125)}
+        by_weights = {tuple(s): smoothability_report(s) for s in enumerate_solutions(3, 125)}
         assert by_weights[(1, 1, 2, 4)].classification is Classification.BOTH
         assert by_weights[(1, 2, 9, 12)].classification is Classification.SUM_TYPE
         assert by_weights[(3, 4, 63, 98)].classification is Classification.SPORADIC
 
     def test_rigidity_annotations(self):
-        by_weights = {tuple(s.weights): s for s in enumerate_solutions(3, 125)}
+        by_weights = {tuple(s): smoothability_report(s) for s in enumerate_solutions(3, 125)}
         rigid = {w for w, s in by_weights.items() if s.rigid_points}
         assert {(1, 4, 16, 27), (1, 7, 27, 49)} <= rigid
 
     def test_dim2_has_no_classification(self):
         for s in enumerate_solutions(2, 30):
-            assert s.classification is None
-            assert s.rigid_points == ()
+            assert smoothability_report(s).classification is None
+            assert smoothability_report(s).rigid_points == ()
 
     def test_every_result_valid(self):
         for s in enumerate_solutions(3, 125):
-            assert is_well_formed(s.weights)
-            assert satisfies_degeneration_equation(s.weights)
+            assert is_well_formed(s)
+            assert satisfies_degeneration_equation(s)
 
     def test_both_only_at_1124(self):
         for s in enumerate_solutions(3, 125):
-            if s.classification is Classification.BOTH:
-                assert tuple(s.weights) == (1, 1, 2, 4)
+            if smoothability_report(s).classification is Classification.BOTH:
+                assert tuple(s) == (1, 1, 2, 4)
 
     def test_dim1_only_trivial(self):
-        tuples = [tuple(s.weights) for s in enumerate_solutions(1, 50)]
+        tuples = [tuple(s) for s in enumerate_solutions(1, 50)]
         assert tuples == [(1, 1)]
 
     @pytest.mark.parametrize("n,bound", [(0, 5), (3, 0), (-1, 10)])
@@ -187,15 +188,15 @@ class TestEnumerate:
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_bound(self, b1, b2):
         lo, hi = sorted((b1, b2))
-        small = {tuple(s.weights) for s in enumerate_solutions(2, lo)}
-        large = {tuple(s.weights) for s in enumerate_solutions(2, hi)}
+        small = {tuple(s) for s in enumerate_solutions(2, lo)}
+        large = {tuple(s) for s in enumerate_solutions(2, hi)}
         assert small <= large
 
     def test_volume_constant_on_results(self):
         for n in (2, 3):
             expected = Fraction((-1) ** n * (n + 1) ** n)
             for s in enumerate_solutions(n, 60):
-                assert anticanonical_volume(s.weights) == expected
+                assert anticanonical_volume(s) == expected
 
 
 class TestDimensionLimit:
@@ -209,7 +210,7 @@ class TestDimensionLimit:
             search(limit + 1, 1)
 
     def test_enumerate_at_limit(self):
-        assert [tuple(s.weights) for s in enumerate_solutions(MAX_SEARCH_DIMENSION, 2)] == [
+        assert [tuple(s) for s in enumerate_solutions(MAX_SEARCH_DIMENSION, 2)] == [
             (1,) * (MAX_SEARCH_DIMENSION + 1)]
 
     def test_oracle_at_limit(self):
@@ -282,16 +283,16 @@ class TestOracle:
     @given(st.integers(1, 35))
     @settings(max_examples=15, deadline=None)
     def test_equivalence_dim2(self, bound):
-        fast = [tuple(s.weights) for s in enumerate_solutions(2, bound)]
-        slow = [tuple(w) for w in brute_force_oracle(2, bound)]
-        assert fast == slow
+        assert enumerate_solutions(2, bound) == brute_force_oracle(2, bound)
 
     @given(st.integers(1, 16))
     @settings(max_examples=10, deadline=None)
     def test_equivalence_dim3(self, bound):
-        fast = [tuple(s.weights) for s in enumerate_solutions(3, bound)]
-        slow = [tuple(w) for w in brute_force_oracle(3, bound)]
-        assert fast == slow
+        assert enumerate_solutions(3, bound) == brute_force_oracle(3, bound)
+
+    def test_both_return_weight_tuples(self):
+        for found in (enumerate_solutions(3, 30), brute_force_oracle(3, 30)):
+            assert found and all(isinstance(w, WeightTuple) for w in found)
 
     def test_oracle_agrees_at_table_bound(self):
         oracle = [tuple(w) for w in brute_force_oracle(3, 125)]
@@ -305,7 +306,7 @@ class TestTreeCompleteness:
     BOUND = 2000
 
     def test_family_solutions_are_the_tree_nodes(self):
-        found = {tuple(s.weights): s for s in enumerate_solutions(3, self.BOUND)}
+        found = {tuple(s): smoothability_report(s) for s in enumerate_solutions(3, self.BOUND)}
         p2_type = {tuple(p2_type_tuple(MarkovTriple(*node)))
                    for node in generate_tree("markov", self.BOUND).nodes}
         p2_type = {w for w in p2_type if max(w) <= self.BOUND}
@@ -327,7 +328,7 @@ TEN_THOUSAND = 10_000
 
 @pytest.fixture(scope="module")
 def dim3_at_ten_thousand():
-    return {tuple(s.weights): s for s in enumerate_solutions(3, TEN_THOUSAND)}
+    return {tuple(s): smoothability_report(s) for s in enumerate_solutions(3, TEN_THOUSAND)}
 
 
 @pytest.mark.slow
@@ -362,7 +363,7 @@ class TestOraclesAtTenThousand:
                 assert denumerant(k * sum(w), w) == comb(4 * k + 3, 3), (w, k)
 
     def test_monotone_in_bound(self, dim3_at_ten_thousand):
-        small = [tuple(s.weights) for s in enumerate_solutions(3, 2000)]
+        small = [tuple(s) for s in enumerate_solutions(3, 2000)]
         assert small == sorted(w for w in dim3_at_ten_thousand if max(w) <= 2000)
 
     def test_lifts_from_dim2_are_enumerated(self, dim3_at_ten_thousand):
@@ -374,6 +375,6 @@ class TestOraclesAtTenThousand:
 def test_lifts_from_dim3_are_enumerated_in_dim4():
     bound = 1000
     lifts = well_formed_lifts(enumerate_solutions(3, bound), bound)
-    found = {tuple(s.weights) for s in enumerate_solutions(4, bound)}
+    found = {tuple(s) for s in enumerate_solutions(4, bound)}
     assert (len(lifts), len(found)) == (41, 350)
     assert lifts <= found

@@ -193,7 +193,7 @@ class TestDenumerant:
         solutions = enumerate_solutions(5, 200)
         assert len(solutions) == 304
         for solution in solutions:
-            w = tuple(solution.weights)
+            w = tuple(solution)
             top = 10 * sum(w)
             table = denumerant_table(top, w)
             for degree in (top, *w):
