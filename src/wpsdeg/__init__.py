@@ -52,6 +52,7 @@ from .weights import (
     anticanonical_volume,
     aut_dimension,
     denumerant,
+    denumerants,
     is_well_formed,
     moduli_component_dimension,
     normalize,
@@ -79,6 +80,7 @@ __all__ = [
     "brute_force_oracle",
     "classify_solution",
     "denumerant",
+    "denumerants",
     "enumerate_solutions",
     "generate_tree",
     "is_well_formed",

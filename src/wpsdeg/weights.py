@@ -55,8 +55,14 @@ class WeightTuple(tuple):
 
 
 def _cofactor_gcds(weights) -> list[int]:
-    """d_i = gcd(a_j : j != i) for each position i."""
-    return [gcd(*weights[:i], *weights[i + 1:]) for i in range(len(weights))]
+    """d_i = gcd(a_j : j != i) for each position i, in O(n) gcds.
+
+    d_i = gcd(gcd(a_0..a_{i-1}), gcd(a_{i+1}..a_n)), from the running gcds
+    taken from the left and from the right (gcd(0, a) = a starts both).
+    """
+    before = [0, *accumulate(weights, gcd)]
+    after = [*accumulate(reversed(weights), gcd)][::-1] + [0]
+    return list(map(gcd, before, after[1:]))
 
 
 def is_well_formed(weights: WeightTuple) -> bool:
@@ -106,7 +112,7 @@ def anticanonical_volume(weights) -> Fraction:
     return Fraction((-w.total) ** w.dim, w.product)
 
 
-# Largest coin-counting table denumerant fills, in entries.  At the limit,
+# Largest coin-counting table denumerants fills, in entries.  At the limit,
 # denumerant(9_999_000, (1, 1, 1, 1, 2, 9_999_991)) takes about 3 s and a
 # peak RSS of about 550 MB, nearly all of it the table's big integers.
 MAX_DENUMERANT_TABLE = 10**7
@@ -120,43 +126,52 @@ class CostLimitError(ValueError):
     """Input past a cost limit: denumerant table, Reid-Tai walk or search dimension."""
 
 
-def denumerant(degree: int, weights) -> int:
-    """Number of monomials of weighted degree `degree` in n+1 variables.
+def denumerants(degrees, weights) -> list[int]:
+    """Number of monomials of each weighted degree in `degrees`, n+1 variables.
 
-    Counts exponent vectors m >= 0 with sum m_i * a_i = degree by the usual
-    coin-counting table; negative degree counts zero (empty linear system).
-    With L = lcm(a) and degree N = rho + x * L, 0 <= rho < L, the count is a
-    polynomial f(x) of degree <= n for every N >= 0 (1 / prod(1 - t^a_i) is
-    proper with poles at L-th roots of unity; Stanley, *Enumerative
-    Combinatorics I*, 4.4).  So for x > n the table stops at rho + n * L and
+    Counts exponent vectors m >= 0 with sum m_i * a_i = d for every d in the
+    sequence `degrees`, in its order, from one coin-counting table; a
+    negative degree counts zero (empty linear system).  With L = lcm(a) and
+    d = rho + x * L, 0 <= rho < L, the count is a polynomial f(x) of degree
+    <= n for every d >= 0 (1 / prod(1 - t^a_i) is proper with poles at L-th
+    roots of unity; Stanley, *Enumerative Combinatorics I*, 4.4).  So the
+    table stops at top = max over the degrees of min(d, rho + n * L); a
+    degree with x <= n is read from it directly, and one with x > n as
     f(x) = sum_k C(x, k) * D^k f(0), Newton's forward differences of
-    f(0..n), all integers.
+    f(0..n) at its own rho, all integers.
 
-    The fill runs in C slice operations.  Weight c turns each residue class
-    mod c into its prefix sums: down stride-c slices with accumulate when
-    c * c <= top, else row by row, adding the row c below.  A step writes at
-    most _PIECE new entries; a strided window starts on the last, already
-    final, entry of the one before.  So weight c takes at most
-    sqrt(top) + top / _PIECE + 1 interpreted steps.  Steps go up the table
-    block by block, each block of _PIECE rows finished before the next, so
-    the integers a step frees are reused at once and peak memory stays that
-    of the plain in-place loop.  The largest weight a_n is never filled:
-    each count read is the strided sum table[m] + table[m - a_n] + ...
-    Cost O(n * min(N, rho + n * L)) additions; a table past
-    MAX_DENUMERANT_TABLE raises CostLimitError before allocating.
+    The table starts as the smallest weight's own table, a 1 every a_0
+    entries, built by C list repetition of one period (cut to the table
+    when a_0 > top) instead of a slice fill.  The middle weights fill in C
+    slice operations.  Weight c turns each residue class mod c into its
+    prefix sums: down stride-c slices with accumulate when c * c <= top,
+    else row by row, adding the row c below.  A step writes at most _PIECE
+    new entries; a strided window starts on the last, already final, entry
+    of the one before.  So weight c takes at most sqrt(top) + top / _PIECE
+    + 1 interpreted steps.  Steps go up the table block by block, each
+    block of _PIECE rows finished before the next, so the integers a step
+    frees are reused at once and peak memory stays that of the plain
+    in-place loop.  The largest weight a_n is never filled: each count
+    read is the strided sum table[m] + table[m - a_n] + ...  Cost
+    O(n * top) additions plus the reads; a table past MAX_DENUMERANT_TABLE
+    raises CostLimitError before allocating.
     """
     w = WeightTuple(weights)
-    if degree < 0:
-        return 0
     n, period = w.dim, lcm(*w)
-    x, rho = divmod(degree, period)
-    top = min(degree, rho + n * period)
+
+    def reach(degree):
+        return min(degree, degree % period + n * period)
+
+    deepest = max((0, *degrees), key=reach)
+    top = reach(deepest)
     if top >= MAX_DENUMERANT_TABLE:
-        raise CostLimitError(f"denumerant of degree {degree} on {tuple(w)} needs "
+        raise CostLimitError(f"denumerant of degree {deepest} on {tuple(w)} needs "
                              f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
-    table = [1] + [0] * top
-    *rest, largest = w
-    for c in rest:
+    smallest, *middle, largest = w
+    seed = min(smallest, top + 1)
+    table = ([1] + [0] * (seed - 1)) * (top // seed + 1)
+    del table[top + 1:]
+    for c in middle:
         if c * c <= top:
             span = _PIECE * c
             for start in range(0, top + 1 - c, span):
@@ -166,15 +181,32 @@ def denumerant(degree: int, weights) -> int:
             step = min(_PIECE, c)
             for i in range(c, top + 1, step):
                 table[i:i + step] = map(add, table[i:i + step], table[i - c:i - c + step])
-    if x <= n:
-        return sum(table[degree::-largest])
-    diffs = [sum(table[m::-largest]) for m in range(rho, top + 1, period)]
-    count, binomial = 0, 1
-    for k in range(n + 1):
-        count += binomial * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        binomial = binomial * (x - k) // (k + 1)
-    return count
+
+    def count(degree):
+        if degree < 0:
+            return 0
+        x, rho = divmod(degree, period)
+        if x <= n:
+            return sum(table[degree::-largest])
+        diffs = [sum(table[m::-largest]) for m in range(rho, rho + n * period + 1, period)]
+        total, binomial = 0, 1
+        for k in range(n + 1):
+            total += binomial * diffs[0]
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            binomial = binomial * (x - k) // (k + 1)
+        return total
+
+    return [count(degree) for degree in degrees]
+
+
+def denumerant(degree: int, weights) -> int:
+    """Number of monomials of weighted degree `degree`: denumerants((degree,), weights)[0]."""
+    return denumerants((degree,), weights)[0]
+
+
+def _require_well_formed(w: WeightTuple) -> None:
+    if not is_well_formed(w):
+        raise ValueError(f"aut_dimension requires a well-formed tuple, got {tuple(w)}")
 
 
 def aut_dimension(weights) -> int:
@@ -183,16 +215,16 @@ def aut_dimension(weights) -> int:
     Each coordinate x_i may be substituted by any monomial of its own degree,
     and the global scalar acts trivially:
 
-        sum_i denumerant(a_i) - 1.
+        sum_i denumerant(a_i) - 1,
 
-    For P^n this is (n+1)^2 - 1 = dim PGL(n+1).  Only defined here for
-    well-formed tuples; the count is wrong on non-well-formed models, so those
-    are rejected rather than silently normalized.
+    all n+1 counts read from one table (denumerants).  For P^n this is
+    (n+1)^2 - 1 = dim PGL(n+1).  Only defined here for well-formed tuples;
+    the count is wrong on non-well-formed models, so those are rejected
+    rather than silently normalized.
     """
     w = WeightTuple(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"aut_dimension requires a well-formed tuple, got {tuple(w)}")
-    return sum(denumerant(a, w) for a in w) - 1
+    _require_well_formed(w)
+    return sum(denumerants(w, w)) - 1
 
 
 class NonIntegralDegreeError(ValueError):
@@ -207,7 +239,10 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
     degree d * sum(a_i) / q.  The moduli contribution is the projective
     dimension of that system minus the automorphism dimension:
 
-        (denumerant(d * sum(a_i) / q) - 1) - aut_dimension.
+        (denumerant(d * sum(a_i) / q) - 1) - aut_dimension,
+
+    with the linear system and every Aut count read from one table
+    (denumerants).
 
     `divisor_ratio` is the q above; pass n+1 for degenerations of P^n.
     Raises NonIntegralDegreeError when q does not divide d * sum(a_i), i.e.
@@ -223,6 +258,7 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
         raise NonIntegralDegreeError(
             f"divisor degree {numerator}/{divisor_ratio} is not integral for {tuple(w)}"
         )
-    linear_system_degree = numerator // divisor_ratio
-    return (denumerant(linear_system_degree, w) - 1) - aut_dimension(w)
+    _require_well_formed(w)
+    linear_system, *aut = denumerants((numerator // divisor_ratio, *w), w)
+    return (linear_system - 1) - (sum(aut) - 1)
 

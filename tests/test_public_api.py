@@ -21,6 +21,7 @@ SOURCES = sorted(p for p in (ROOT / "src" / "wpsdeg").glob("*.py") if p.name != 
 PROBED = {attribute for _, attribute, *_ in runpy.run_path(str(ROOT / "bench" / "spans.py"))["PROBES"]}
 
 KEPT = {
+    "aut_dimension": "dim Aut is a paper quantity, and the planned --explain evidence may read it",
     "brute_force_oracle": "the unpruned reference search the tests and the README check against",
     "sum_type_decompose": "the (alpha, beta, gamma) evidence planned for sum-type verdicts",
 }

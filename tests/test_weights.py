@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm
 from time import perf_counter
 
@@ -16,13 +16,14 @@ from wpsdeg import (
     anticanonical_volume,
     aut_dimension,
     denumerant,
+    denumerants,
     enumerate_solutions,
     is_well_formed,
     moduli_component_dimension,
     normalize,
     satisfies_degeneration_equation,
 )
-from wpsdeg.weights import CostLimitError
+from wpsdeg.weights import CostLimitError, _cofactor_gcds
 
 
 def denumerant_table(top, weights):
@@ -80,6 +81,18 @@ class TestWellFormed:
 
     def test_sporadic_entry(self):
         assert is_well_formed(WeightTuple((3, 4, 63, 98)))
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_cofactor_gcds_match_the_direct_gcds(self, size):
+        # Every ordered tuple, since callers also pass unsorted lists.
+        for entries in product(range(1, 13), repeat=size):
+            direct = [gcd(*entries[:i], *entries[i + 1:]) for i in range(size)]
+            assert _cofactor_gcds(entries) == direct, entries
+
+    def test_many_weights_are_linear(self):
+        start = perf_counter()
+        assert is_well_formed((1,) * 20000)
+        assert perf_counter() - start < 0.5
 
 
 class TestNormalize:
@@ -178,6 +191,7 @@ class TestDenumerant:
             table = denumerant_table(top, weights)
             for degree in range(top + 1):
                 assert denumerant(degree, weights) == table[degree], (degree, weights)
+            assert denumerants(range(top + 1), weights) == table, weights
 
     @pytest.mark.parametrize("piece", [1, 2, 3])
     @pytest.mark.parametrize("size,largest", [(2, 12), (3, 8), (4, 5)])
@@ -189,15 +203,39 @@ class TestDenumerant:
 
     def test_matches_table_on_the_dimension_five_solutions(self):
         # The range the dimension-5 moduli counts use: each weight's own
-        # degree for Aut, and 10 * sum, tables of up to 7,200 entries.
+        # degree for Aut, and 10 * sum, tables of up to 7,200 entries; one
+        # call reads them all, as moduli_component_dimension does.
         solutions = enumerate_solutions(5, 200)
         assert len(solutions) == 304
         for solution in solutions:
             w = tuple(solution)
-            top = 10 * sum(w)
-            table = denumerant_table(top, w)
-            for degree in (top, *w):
+            degrees = (10 * sum(w), *w)
+            table = denumerant_table(degrees[0], w)
+            for degree in degrees:
                 assert denumerant(degree, w) == table[degree], (degree, w)
+            assert denumerants(degrees, w) == [table[d] for d in degrees], w
+
+    def test_mixed_degrees_in_one_call(self):
+        # lcm 30, n = 2: 61 is read from the table (x = 2), 200 and 10**4 are
+        # interpolated (x = 6, 333) at their own residues 20 and 10.
+        w = (2, 3, 5)
+        degrees = (7, -4, 0, 200, 7, 61, 3, -1, 10**4, 1, 0)
+        table = denumerant_table(10**4, w)
+        assert denumerants(degrees, w) == [table[d] if d >= 0 else 0 for d in degrees]
+
+    def test_no_degrees_and_only_negative_degrees(self):
+        assert denumerants((), (3, 5)) == []
+        assert denumerants((-1, -7), (3, 5)) == [0, 0]
+
+    def test_smallest_weight_past_the_table(self):
+        # The seed repeats one period of the smallest weight; past the table
+        # that period is cut to the table, not allocated in full.
+        tracemalloc.start()
+        try:
+            assert denumerants((0, 5, 7), (10**7, 10**7 + 1)) == [1, 0, 0]
+            assert tracemalloc.get_traced_memory()[1] < 10**5
+        finally:
+            tracemalloc.stop()
 
     def test_peak_memory_is_that_of_the_plain_table(self):
         # Whole residue classes as slices would copy up to `top` pointers and
@@ -303,6 +341,11 @@ class TestModuliComponentDimension:
         assert moduli_component_dimension(WeightTuple((1, 1, 2, 4)), 5, 4) == 38
         assert moduli_component_dimension(WeightTuple((1, 2, 9, 12)), 5, 4) == 37
 
+    def test_unit_weights_closed_form(self):
+        # C(599, 299) monomials of degree 300 in 300 variables, and
+        # dim Aut = dim PGL(300) = 300^2 - 1.
+        assert moduli_component_dimension((1,) * 300, 300, 300) == comb(599, 299) - 300**2
+
     def test_non_integral_degree(self):
         with pytest.raises(NonIntegralDegreeError):
             moduli_component_dimension(WeightTuple((1, 1, 1, 1)), 1, 3)
@@ -317,6 +360,13 @@ class TestModuliComponentDimension:
         # q = 0 would divide by zero, and a negative q has no meaning as a pairing
         with pytest.raises(ValueError, match="at least 1") as info:
             moduli_component_dimension(WeightTuple((1, 1, 1, 1)), 5, q)
+        assert not isinstance(info.value, NonIntegralDegreeError)
+
+    def test_rejects_non_well_formed_after_the_degree_checks(self):
+        with pytest.raises(NonIntegralDegreeError):
+            moduli_component_dimension((1, 2, 4), 1, 2)
+        with pytest.raises(ValueError, match="requires a well-formed tuple") as info:
+            moduli_component_dimension((1, 2, 4), 3, 3)
         assert not isinstance(info.value, NonIntegralDegreeError)
 
     @pytest.mark.parametrize("degree", [0, -3])
