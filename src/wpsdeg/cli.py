@@ -28,6 +28,8 @@ from .mutation import Family, generate_tree, lift
 from .records import (
     FIELD_NAMES,
     SolutionRecord,
+    cell,
+    json_value,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,
@@ -58,16 +60,8 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return entries
 
 
-def _strs(values) -> list[str]:
-    return [str(v) for v in values]
-
-
-def _csv_weights(weights) -> str:
-    return ",".join(_strs(weights))
-
-
 def _fmt(weights) -> str:
-    return "(" + _csv_weights(weights) + ")"
+    return "(" + cell(weights) + ")"
 
 
 def _normalized(weights) -> tuple[WeightTuple, list[str]]:
@@ -83,43 +77,37 @@ def _md_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _cell(value) -> str:
-    """A JSON value as a table cell: lists comma-joined, flags as yes/no."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return ",".join(value) if isinstance(value, list) else value
+def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> int:
+    """Write the one text form of a result to args.out or stdout, return code.
 
-
-def _render(fmt: str, obj, header=(), rows=(), notes=(), text=None) -> str:
-    """The one text form of every result.
-
-    json dumps obj.  csv writes header and rows when there is a header.
-    Otherwise the notes come first, then text if given, else the rows as an
-    aligned table (table) or a markdown table (md), omitted when empty.
+    obj and rows hold raw values, encoded only when written: obj by
+    json_value, each row value by cell.  json dumps obj.  csv writes header
+    and rows when there is a header.  Otherwise the notes come first, then
+    text if given, else the rows as an aligned table (table) or a markdown
+    table (md), omitted when empty.
     """
+    fmt = args.format
     if fmt == "json":
-        return json.dumps(obj, indent=2, ensure_ascii=False)
-    if fmt == "csv" and header:
+        text = json.dumps(json_value(obj), indent=2, ensure_ascii=False)
+    elif fmt == "csv" and header:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue()
-    lines = [f"note: {note}" for note in notes]
-    if text is not None:
-        lines.append(text)
-    elif rows and fmt == "table":
-        widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
-        for r in [header, *rows]:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    elif rows:
-        lines.append(_md_table(header, rows))
-    return "\n".join(lines)
-
-
-def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> int:
-    """Render a result in args.format, write it to args.out or stdout, return code."""
-    text = _render(args.format, obj, header, rows, notes, text)
+        writer.writerows(map(cell, row) for row in rows)
+        text = buffer.getvalue()
+    else:
+        lines = [f"note: {note}" for note in notes]
+        if text is not None:
+            lines.append(text)
+        elif rows:
+            rows = [list(map(cell, row)) for row in rows]
+            if fmt == "table":
+                widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
+                for r in [header, *rows]:
+                    lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+            else:
+                lines.append(_md_table(header, rows))
+        text = "\n".join(lines)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
@@ -142,14 +130,13 @@ def _record_table(records: list[SolutionRecord], fmt: str) -> tuple[list[str], l
               "rigid_points", "verdict"]
     rows = []
     for r in records:
-        volume = str(r.volume_num) if r.volume_den == 1 else f"{r.volume_num}/{r.volume_den}"
-        rows.append([_fmt(r.weights), str(r.sum), str(r.product), volume,
-                     r.classification or "-", "|".join(r.rigid_points) or "-",
-                     r.verdict_text])
+        volume = cell(r.volume_num) if r.volume_den == 1 else f"{r.volume_num}/{r.volume_den}"
+        rows.append([_fmt(r.weights), cell(r.sum), cell(r.product), volume,
+                     r.classification or "-", cell(r.rigid_points) or "-", r.verdict_text])
     if any(r.moduli_dim is not None for r in records):
         header.append("moduli_dim")
         for row, r in zip(rows, records):
-            row.append("-" if r.moduli_dim is None else str(r.moduli_dim))
+            row.append(cell(r.moduli_dim) or "-")
     return header, rows
 
 
@@ -171,7 +158,7 @@ _LITERATURE_STATUS = [
 def cmd_enumerate(args) -> int:
     records = [record_for_solution(w, args.degree, args.q)
                for w in search.enumerate_solutions(args.dim, args.bound)]
-    obj = {"dim": str(args.dim), "bound": str(args.bound), "count": str(len(records)),
+    obj = {"dim": args.dim, "bound": args.bound, "count": len(records),
            "solutions": [to_json_obj(r) for r in records]}
     header, rows = _record_table(records, args.format)
     text = None
@@ -207,23 +194,19 @@ def cmd_singular(args) -> int:
         notes.append("smooth")
     header = ["indices", "dimension", "order", "transverse", "verdict",
               "maximal", "isolated"]
-    entries = [dict(zip(header, (_strs(s.indices), str(s.dimension), str(s.order),
-                                 s.transverse.notation(), str(s.transverse.verdict),
-                                 s.maximal, s.is_isolated_point)))
+    entries = [dict(zip(header, (s.indices, s.dimension, s.order, s.transverse.notation(),
+                                 s.transverse.verdict, s.maximal, s.is_isolated_point)))
                for s in strata]
-    rows = [[_cell(v) for v in entry.values()] for entry in entries]
-    obj = {"weights": _strs(wn), "notes": notes, "strata": entries}
-    return _output(args, 0, obj, header, rows, notes)
+    obj = {"weights": wn, "notes": notes, "strata": entries}
+    return _output(args, 0, obj, header, [entry.values() for entry in entries], notes)
 
 
 def cmd_tree(args) -> int:
     graph = generate_tree(Family(args.family), args.max_weight)
-    obj = {"family": graph.family.value, "max_weight": str(args.max_weight),
-           "node_count": str(len(graph.nodes)), "edge_count": str(len(graph.edges)),
-           "cycle_rank": str(graph.cycle_rank), "is_tree": graph.is_tree,
-           "nodes": [_strs(node) for node in graph.nodes],
-           "edges": [{"src": _strs(e.src), "dst": _strs(e.dst), "fixed": _strs(e.fixed)}
-                     for e in graph.edges]}
+    obj = {"family": graph.family.value, "max_weight": args.max_weight,
+           "node_count": len(graph.nodes), "edge_count": len(graph.edges),
+           "cycle_rank": graph.cycle_rank, "is_tree": graph.is_tree, "nodes": graph.nodes,
+           "edges": [{"src": e.src, "dst": e.dst, "fixed": e.fixed} for e in graph.edges]}
     nodes = [_fmt(node) for node in graph.nodes]
     edges = [[_fmt(e.src), _fmt(e.dst), "fix" + _fmt(e.fixed)] for e in graph.edges]
     if args.format == "dot":
@@ -248,31 +231,29 @@ def cmd_tree(args) -> int:
 def cmd_moduli_dim(args) -> int:
     wn, notes = _normalized(args.weights)
     q = args.q if args.q is not None else wn.dim + 1
-    obj = {"weights": _strs(wn), "degree": str(args.degree), "q": str(q), "notes": notes}
+    obj = {"weights": wn, "degree": args.degree, "q": q, "notes": notes}
     try:
         value = moduli_component_dimension(wn, args.degree, q)
     except NonIntegralDegreeError as exc:
         key, value, code, text = "error", str(exc), 1, f"error: {exc}"
     else:
         key, code = "moduli_dim", 0
-        text = str(value) if args.format == "table" else (
+        text = cell(value) if args.format == "table" else (
             f"moduli component dimension of degree-{args.degree} divisors "
             f"on {_fmt(wn)} at q={q}: **{value}**")
-    obj[key] = str(value)
-    row = [_csv_weights(wn), str(args.degree), str(q), str(value)]
-    return _output(args, code, obj, ["weights", "degree", "q", key], [row], notes, text)
+    obj[key] = value
+    return _output(args, code, obj, ["weights", "degree", "q", key],
+                   [[wn, args.degree, q, value]], notes, text)
 
 
 def cmd_lift(args) -> int:
     w = WeightTuple(args.weights)
-    obj = {"weights": _strs(w)}
     if not satisfies_degeneration_equation(w):
         message = f"{_fmt(w)} is not a dimension-{w.dim} solution"
-        return _output(args, 1, {**obj, "error": message}, text=message)
+        return _output(args, 1, {"weights": w, "error": message}, text=message)
     lifted = lift(w)
-    return _output(args, 0, {**obj, "lifted": _strs(lifted)},
-                   ["weights", "lifted"], [[_csv_weights(w), _csv_weights(lifted)]],
-                   text=_fmt(lifted))
+    return _output(args, 0, {"weights": w, "lifted": lifted}, ["weights", "lifted"],
+                   [[w, lifted]], text=_fmt(lifted))
 
 
 @functools.cache

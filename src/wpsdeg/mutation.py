@@ -259,23 +259,8 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
         raise CostLimitError(f"max weight {max_weight} is past the tree limit of {MAX_TREE_WEIGHT:.0e} "
                              "(node counts grow as the square of its digit count)")
 
-    if family is Family.MARKOV:
-        root = MarkovTriple(*_MARKOV_ROOT)
-        moves = (0, 1, 2)
-        apply = markov_mutate
-
-        def fixed_values(node, move):
-            entries = node.as_tuple()
-            return tuple(sorted(entries[i] for i in range(3) if i != move))
-    else:
-        root = SumQuadruple(*_SUM_ROOT)
-        moves = ((0, 1), (0, 2), (1, 2))
-        apply = sum_mutate
-
-        def fixed_values(node, move):
-            entries = node.as_tuple()
-            return tuple(sorted(entries[i] for i in move))
-
+    markov = family is Family.MARKOV
+    root = MarkovTriple(*_MARKOV_ROOT) if markov else SumQuadruple(*_SUM_ROOT)
     if max(root.canonical()) > max_weight:
         return MutationGraph(family, (), ())
 
@@ -284,10 +269,11 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        here = node.canonical()
-        for move in moves:
+        here, entries = node.canonical(), node.as_tuple()
+        # every mutation changes one of the first three slots and fixes the other two
+        for slot, others in enumerate(((1, 2), (0, 2), (0, 1))):
             # roots multiply to q^2 + r^2 or (a + b)^2 > 0, so a valid node never raises
-            neighbor = apply(node, move)
+            neighbor = markov_mutate(node, slot) if markov else sum_mutate(node, others)
             there = neighbor.canonical()
             if there == here or max(there) > max_weight:
                 continue
@@ -295,7 +281,7 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
                 seen.add(there)
                 queue.append(neighbor)
             lo, hi = min(here, there), max(here, there)
-            edges.add(MutationEdge(lo, hi, fixed_values(node, move)))
+            edges.add(MutationEdge(lo, hi, tuple(sorted(entries[i] for i in others))))
     return MutationGraph(
         family,
         tuple(sorted(seen)),

@@ -1,11 +1,12 @@
-"""Serialization schema for solution reports.
+"""Solution records, and the one rule for writing any output value.
 
 One flat record per weighted projective space, shared by every output
-format.  JSON and CSV walk its fields with one formatter per value type.
-Integers become decimal strings, in JSON too, so that consumers with 53-bit
-number types cannot corrupt large products; None is null or an empty cell.
-CSV joins a tuple's integers with ',' and its notations with '|', and quotes
-per RFC 4180 via the csv module.
+format.  json_value and cell are the only encoders of the package: every
+subcommand writes its JSON through json_value and its csv, table and md
+cells through cell.  Integers become decimal strings, in JSON too, so that
+consumers with 53-bit number types cannot corrupt large products; None is
+null or an empty cell.  A cell joins a tuple's integers with ',' and its
+notations with '|'; the csv module quotes per RFC 4180.
 """
 
 from __future__ import annotations
@@ -70,25 +71,35 @@ def record_for_non_solution(weights) -> SolutionRecord:
                           volume.denominator, None, (), "not a solution")
 
 
-def _json_value(value):
-    if isinstance(value, tuple):
-        return [str(v) for v in value]
-    return value if value is None or isinstance(value, str) else str(value)
+def json_value(value):
+    """value as JSON data: ints (not bools) as decimal strings, tuples as lists."""
+    if isinstance(value, int):
+        return value if isinstance(value, bool) else str(value)
+    if isinstance(value, dict):
+        return {key: json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_value(v) for v in value]
+    return value
 
 
-def _csv_cell(value) -> str:
+def cell(value) -> str:
+    """value as one csv or table cell: None empty, flags yes/no, tuples joined."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
     if isinstance(value, tuple):
-        return "|".join(value) if value and isinstance(value[0], str) else ",".join(map(str, value))
-    return "" if value is None else str(value)
+        return ("|" if value and isinstance(value[0], str) else ",").join(map(str, value))
+    return str(value)
 
 
 def to_json_obj(record: SolutionRecord) -> dict:
     """JSON-ready dict in field order, integers as strings, no None moduli_dim."""
-    obj = {name: _json_value(getattr(record, name)) for name in FIELD_NAMES}
+    obj = {name: json_value(getattr(record, name)) for name in FIELD_NAMES}
     if record.moduli_dim is None:
         del obj["moduli_dim"]
     return obj
 
 
 def to_csv_row(record: SolutionRecord) -> list[str]:
-    return [_csv_cell(getattr(record, name)) for name in FIELD_NAMES]
+    return [cell(getattr(record, name)) for name in FIELD_NAMES]

@@ -204,9 +204,9 @@ def denumerant(degree: int, weights) -> int:
     return denumerants((degree,), weights)[0]
 
 
-def _require_well_formed(w: WeightTuple) -> None:
+def _require_well_formed(w: WeightTuple, caller: str) -> None:
     if not is_well_formed(w):
-        raise ValueError(f"aut_dimension requires a well-formed tuple, got {tuple(w)}")
+        raise ValueError(f"{caller} requires a well-formed tuple, got {tuple(w)}")
 
 
 def aut_dimension(weights) -> int:
@@ -223,7 +223,7 @@ def aut_dimension(weights) -> int:
     rather than silently normalized.
     """
     w = WeightTuple(weights)
-    _require_well_formed(w)
+    _require_well_formed(w, "aut_dimension")
     return sum(denumerants(w, w)) - 1
 
 
@@ -258,7 +258,7 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
         raise NonIntegralDegreeError(
             f"divisor degree {numerator}/{divisor_ratio} is not integral for {tuple(w)}"
         )
-    _require_well_formed(w)
+    _require_well_formed(w, "moduli_component_dimension")
     linear_system, *aut = denumerants((numerator // divisor_ratio, *w), w)
     return (linear_system - 1) - (sum(aut) - 1)
 

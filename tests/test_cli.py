@@ -26,6 +26,43 @@ def run_usage_error(capsys, *argv):
     return info.value.code
 
 
+# One JSON call per subcommand, with its exit code and the keys whose values
+# are JSON booleans; every other number must arrive as a decimal string.
+JSON_CALLS = [
+    (["enumerate", "--dim", "3", "--bound", "125"], 0, set()),
+    (["classify", "1,4,10,25", "--degree", "5"], 0, {"solution"}),
+    (["classify", "1,1,1,2"], 1, {"solution"}),
+    (["singular", "1,4,10,25"], 0, {"maximal", "isolated"}),
+    (["tree", "--family", "sum", "--max-weight", "125"], 0, {"is_tree"}),
+    (["lift", "1,4,25"], 0, set()),
+    (["lift", "1,1,2"], 1, set()),
+    (["moduli-dim", "--weights", "1,1,1,1", "--degree", "5", "--q", "4"], 0, set()),
+    (["moduli-dim", "--weights", "1,1,1,1", "--degree", "1", "--q", "3"], 1, set()),
+]
+
+
+@pytest.mark.parametrize("argv,code,flag_keys", JSON_CALLS,
+                         ids=[" ".join(argv) for argv, *_ in JSON_CALLS])
+def test_json_has_no_bare_numbers(capsys, argv, code, flag_keys):
+    got, out = run(capsys, *argv, "--format", "json")
+    assert got == code
+    flags = set()
+
+    def walk(node, key):
+        if isinstance(node, bool):
+            flags.add(key)
+        assert not isinstance(node, (int, float)) or isinstance(node, bool), (key, node)
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+
+    walk(json.loads(out), None)
+    assert flags == flag_keys
+
+
 class TestEnumerate:
     def test_table_dim3(self, capsys):
         code, out = run(capsys, "enumerate", "--dim", "3", "--bound", "125")
@@ -51,21 +88,6 @@ class TestEnumerate:
         assert obj["count"] == str(len(obj["solutions"]))
         records = [from_json_obj(r) for r in obj["solutions"]]
         assert (1, 2, 9, 12) in [r.weights for r in records]
-
-    def test_json_has_no_bare_numbers(self, capsys):
-        _, out = run(capsys, "enumerate", "--dim", "3", "--bound", "125",
-                     "--format", "json")
-
-        def walk(node):
-            assert not isinstance(node, (int, float)) or isinstance(node, bool)
-            if isinstance(node, dict):
-                for v in node.values():
-                    walk(v)
-            elif isinstance(node, list):
-                for v in node:
-                    walk(v)
-
-        walk(json.loads(out))
 
     def test_md_report_has_version_and_footnote(self, capsys):
         code, out = run(capsys, "enumerate", "--dim", "3", "--bound", "125",

@@ -255,6 +255,23 @@ class TestGenerateTree:
         sums = set(generate_tree(Family.SUM, bound).nodes)
         assert p2 & sums == {(1, 1, 2, 4)}
 
+    @pytest.mark.parametrize("family,build,mutate", [
+        (Family.MARKOV, MarkovTriple, markov_mutate),
+        (Family.SUM, SumQuadruple,
+         lambda quad, slot: sum_mutate(quad, [i for i in range(3) if i != slot])),
+    ])
+    def test_every_edge_is_the_mutation_keeping_its_fixed_values(self, family, build, mutate):
+        # 10^12 is the tuple-mix benchmark bound, far past the golden corpus's 125 and 200
+        graph = generate_tree(family, 10 ** 12)
+        assert len(graph.edges) > 20 and max(map(max, graph.nodes)) > 10 ** 9
+        for edge in graph.edges:
+            src = build(*edge.src)
+            entries = src.as_tuple()
+            slots = [k for k in range(3)
+                     if tuple(sorted(entries[i] for i in range(3) if i != k)) == edge.fixed]
+            assert slots, edge
+            assert {mutate(src, k).canonical() for k in slots} == {edge.dst}, edge
+
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             generate_tree(Family.MARKOV, 0)

@@ -365,9 +365,12 @@ class TestModuliComponentDimension:
     def test_rejects_non_well_formed_after_the_degree_checks(self):
         with pytest.raises(NonIntegralDegreeError):
             moduli_component_dimension((1, 2, 4), 1, 2)
-        with pytest.raises(ValueError, match="requires a well-formed tuple") as info:
+        with pytest.raises(ValueError, match="moduli_component_dimension requires") as info:
             moduli_component_dimension((1, 2, 4), 3, 3)
         assert not isinstance(info.value, NonIntegralDegreeError)
+        # the message names the function that refused, not the one it shares a check with
+        with pytest.raises(ValueError, match="aut_dimension requires"):
+            aut_dimension((1, 2, 4))
 
     @pytest.mark.parametrize("degree", [0, -3])
     def test_rejects_degree_below_one(self, degree):
