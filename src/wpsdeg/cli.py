@@ -6,8 +6,8 @@ byte-deterministic: records are sorted, field order is fixed, and nothing
 carries a timestamp (the markdown report embeds the version string only).
 
 Exit codes: 0 success, 1 domain-level negative result (not a solution,
-non-integral divisor degree), 2 usage error (an --out path that cannot be
-opened for writing is one) or a cost limit (CostLimitError):
+non-integral divisor degree), 2 usage error (output that cannot be written,
+to --out or stdout, is one) or a cost limit (CostLimitError):
 a denumerant table past weights.MAX_DENUMERANT_TABLE, a Reid-Tai walk past
 singular.MAX_REID_TAI_WALK, a dimension past search.MAX_SEARCH_DIMENSION, a
 search past search.MAX_SEARCH_BOUND or search.MAX_SEARCH_TUPLES, or a tree
@@ -72,7 +72,7 @@ def _normalized(weights) -> tuple[WeightTuple, list[str]]:
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(r) + " |" for r in [header, *rows]]
+    lines = ["| " + " | ".join(c.replace("|", "\\|") for c in r) + " |" for r in [header, *rows]]
     lines.insert(1, "|" + "|".join("---" for _ in header) + "|")
     return "\n".join(lines)
 
@@ -81,14 +81,15 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
     """Write the one text form of a result to args.out or stdout, return code.
 
     obj and rows hold raw values, encoded only when written: obj by
-    json_value, each row value by cell.  json dumps obj.  csv writes header
-    and rows when there is a header.  Otherwise the notes come first, then
-    text if given, else the rows as an aligned table (table) or a markdown
-    table (md), omitted when empty.
+    json_value and its records by to_json_obj, each row value by cell.  json
+    dumps obj.  csv writes header and rows when there is a header.  Otherwise
+    the notes come first, then text if given, else the rows as an aligned
+    table (table) or a markdown table (md, a '|' in a cell escaped), omitted
+    when empty.  A write that fails is a usage error.
     """
     fmt = args.format
     if fmt == "json":
-        text = json.dumps(json_value(obj), indent=2, ensure_ascii=False)
+        text = json.dumps(json_value(obj), indent=2, ensure_ascii=False, default=to_json_obj)
     elif fmt == "csv" and header:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -110,15 +111,16 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
         text = "\n".join(lines)
     if not text.endswith("\n"):
         text += "\n"
-    if args.out:
-        try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            build_parser().error(f"cannot write --out {args.out}: {exc.strerror}")
-        with handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except (OSError, UnicodeError) as exc:
+        target = f"--out {args.out}" if args.out else "stdout"
+        build_parser().error(f"cannot write {target}: {getattr(exc, 'strerror', None) or exc}")
     return code
 
 
@@ -158,8 +160,7 @@ _LITERATURE_STATUS = [
 def cmd_enumerate(args) -> int:
     records = [record_for_solution(w, args.degree, args.q)
                for w in search.enumerate_solutions(args.dim, args.bound)]
-    obj = {"dim": args.dim, "bound": args.bound, "count": len(records),
-           "solutions": [to_json_obj(r) for r in records]}
+    obj = {"dim": args.dim, "bound": args.bound, "count": len(records), "solutions": records}
     header, rows = _record_table(records, args.format)
     text = None
     if args.format == "md":
@@ -182,7 +183,7 @@ def cmd_classify(args) -> int:
     solution = satisfies_degeneration_equation(wn)
     record = (record_for_solution(wn, args.degree, args.q) if solution
               else record_for_non_solution(wn))
-    obj = {"solution": solution, "notes": notes, "record": to_json_obj(record)}
+    obj = {"solution": solution, "notes": notes, "record": record}
     header, rows = _record_table([record], args.format)
     return _output(args, 0 if solution else 1, obj, header, rows, notes)
 

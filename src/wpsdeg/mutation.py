@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt, prod
+from math import isqrt
 
 from .weights import CostLimitError, WeightTuple, satisfies_degeneration_equation
 
@@ -127,34 +127,26 @@ def sum_mutate(quad: SumQuadruple, fixed: tuple[int, int]) -> SumQuadruple:
 
 
 def classify_solution(weights) -> Classification:
-    """Family membership of a dimension-3 solution.
+    """Family membership of a dimension-3 solution, read off m = sum / 4.
 
-    P2-type: three entries are squares alpha^2, beta^2, gamma^2 with
-    3*alpha*beta*gamma = alpha^2 + beta^2 + gamma^2 and the fourth entry is
-    alpha*beta*gamma.  All four choices of the non-square slot are tried,
-    since ascending order interleaves the product among the squares.
-
-    Sum-type: the largest entry is the sum of the other three and
-    8abc = d^2.
-
-    Both memberships can hold at once; sporadic solutions satisfy neither.
+    A dimension-3 solution has sum 4m and product m^3 (see lift).  P2-type,
+    (alpha^2, beta^2, gamma^2, alpha*beta*gamma) with 3*alpha*beta*gamma =
+    alpha^2 + beta^2 + gamma^2, holds iff m is a weight and the other three
+    are squares: its sum 4*alpha*beta*gamma makes m the fourth weight, and
+    conversely the product m * (alpha*beta*gamma)^2 = m^3 forces
+    alpha*beta*gamma = m, so the sum 4m is the Markov relation.  Sum-type,
+    (a, b, c, d) with d = a + b + c and 8abc = d^2, holds iff the largest
+    weight d is 2m: its sum is 2d, and conversely a + b + c = 4m - d = d and
+    64abcd = (2d)^3 is 8abc = d^2.  Both memberships can hold at once;
+    sporadic solutions satisfy neither.
     """
     w = WeightTuple(weights)
     if w.dim != 3 or not satisfies_degeneration_equation(w):
         raise ValueError(f"{tuple(w)} is not a dimension-3 degeneration solution")
 
-    p2 = False
-    for skip in range(4):
-        squares = [w[i] for i in range(4) if i != skip]
-        if all(_is_square(x) for x in squares):
-            roots = [isqrt(x) for x in squares]
-            if (3 * prod(roots) == sum(x * x for x in roots)
-                    and prod(roots) == w[skip]):
-                p2 = True
-                break
-
-    a, b, c, d = w
-    sum_type = (d == a + b + c) and (8 * a * b * c == d * d)
+    m = w.total // 4
+    p2 = m in w and all(map(_is_square, w[:w.index(m)] + w[w.index(m) + 1:]))
+    sum_type = w[3] == 2 * m
 
     if p2 and sum_type:
         return Classification.BOTH

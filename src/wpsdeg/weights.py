@@ -123,7 +123,8 @@ _PIECE = 4096
 
 
 class CostLimitError(ValueError):
-    """Input past a cost limit: denumerant table, Reid-Tai walk or search dimension."""
+    """Input past a cost limit: denumerant table, Reid-Tai walk, search
+    dimension, search bound, search walk size or tree max weight."""
 
 
 def denumerants(degrees, weights) -> list[int]:
@@ -242,7 +243,8 @@ def moduli_component_dimension(weights, degree: int, divisor_ratio: int) -> int:
         (denumerant(d * sum(a_i) / q) - 1) - aut_dimension,
 
     with the linear system and every Aut count read from one table
-    (denumerants).
+    (denumerants).  It is h^0 - 1 - dim Aut, so it is negative when Aut acts
+    with positive-dimensional stabilizers: -8 for P(1, 4, 25), d = 1, q = 3.
 
     `divisor_ratio` is the q above; pass n+1 for degenerations of P^n.
     Raises NonIntegralDegreeError when q does not divide d * sum(a_i), i.e.

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +150,46 @@ class TestEnumerate:
         assert f"cannot write --out {path}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_out_write_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "1,1,1,1", "--out", "/dev/full"])
+        assert info.value.code == 2
+        assert "cannot write --out /dev/full: No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        UnicodeEncodeError("ascii", "\u2119", 0, 1, "ordinal not in range(128)"),
+    ], ids=["OSError", "UnicodeError"])
+    @pytest.mark.parametrize("step", ["write", "flush"])
+    def test_failed_stdout_write_is_usage_error(self, capsys, monkeypatch, error, step):
+        class Broken(io.StringIO):
+            def fail(self, *args):
+                raise error
+
+        monkeypatch.setattr(Broken, step, Broken.fail)
+        monkeypatch.setattr(sys, "stdout", Broken())
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "1,1,1,1"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "cannot write stdout: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt,calls", [("json", 13), ("md", 0), ("table", 0), ("csv", 0)])
+    def test_records_encoded_for_json_only(self, capsys, monkeypatch, fmt, calls):
+        import wpsdeg.cli
+
+        encoded = []
+        original = wpsdeg.cli.to_json_obj
+
+        def counting(record):
+            encoded.append(record)
+            return original(record)
+
+        monkeypatch.setattr(wpsdeg.cli, "to_json_obj", counting)
+        code, _ = run(capsys, "enumerate", "--dim", "3", "--bound", "125", "--format", fmt)
+        assert (code, len(encoded)) == (0, calls)
+
 
 class TestClassify:
     def test_p2_type(self, capsys):
@@ -184,6 +226,15 @@ class TestClassify:
         assert run_usage_error(capsys, "classify", "1,x,3") == 2
         assert run_usage_error(capsys, "classify", "4") == 2
         assert run_usage_error(capsys, "classify", "1,-2,3") == 2
+
+    # The three dimension-3 solutions to 10^4 with two rigid points, whose
+    # notations are joined with '|' in one cell.
+    @pytest.mark.parametrize("weights", ["16,27,256,2197", "16,27,2197,4000", "20,27,3200,4913"])
+    def test_md_cells_escape_the_separator(self, capsys, weights):
+        code, out = run(capsys, "classify", weights, "--format", "md")
+        header, rule, row = out.splitlines()
+        assert code == 0 and "\\|" in row
+        assert len(re.findall(r"(?<!\\)\|", row)) == header.count("|") == rule.count("|")
 
 
 class TestSingular:

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from wpsdeg import (
     sum_type_decompose,
 )
 from wpsdeg.mutation import MAX_TREE_WEIGHT
+from wpsdeg.search import _raw_solutions
 from wpsdeg.weights import CostLimitError
 
 
@@ -165,6 +167,35 @@ class TestClassify:
                 assert got is Classification.P2_TYPE
             elif in_sum:
                 assert got is Classification.SUM_TYPE
+
+    def test_every_family_node_to_10_40(self):
+        p2_nodes = [p2_type_tuple(MarkovTriple(*n))
+                    for n in generate_tree(Family.MARKOV, 10**40).nodes]
+        sum_nodes = [WeightTuple(n) for n in generate_tree(Family.SUM, 10**40).nodes]
+        for nodes, family in ((p2_nodes, Classification.P2_TYPE),
+                              (sum_nodes, Classification.SUM_TYPE)):
+            for w in nodes:
+                both = tuple(w) == (1, 1, 2, 4)
+                assert classify_solution(w) is (Classification.BOTH if both else family), w
+
+    def test_closed_form_matches_the_definitions(self):
+        # Every raw solution to 2000, well-formed or not, against the family
+        # definitions read slot by slot.
+        def p2_type(w):
+            for i in range(4):
+                squares = w[:i] + w[i + 1:]
+                p, q, r = map(isqrt, squares)
+                if ((p * p, q * q, r * r) == squares and p * q * r == w[i]
+                        and 3 * p * q * r == p * p + q * q + r * r):
+                    return True
+            return False
+
+        classes = {(True, True): Classification.BOTH, (True, False): Classification.P2_TYPE,
+                   (False, True): Classification.SUM_TYPE, (False, False): Classification.SPORADIC}
+        for w in _raw_solutions(3, 2000):
+            a, b, c, d = w
+            sum_type = d == a + b + c and 8 * a * b * c == d * d
+            assert classify_solution(w) is classes[p2_type(w), sum_type], w
 
 
 class TestSumTypeDecompose:

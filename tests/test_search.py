@@ -26,93 +26,34 @@ from wpsdeg.search import (
     MAX_SEARCH_BOUND,
     MAX_SEARCH_DIMENSION,
     MAX_SEARCH_TUPLES,
-    _divisors_bounded,
-    _factorize,
     _raw_solutions,
 )
 from wpsdeg.weights import CostLimitError
 
 
-def divisor_scan_raw_solutions(n, bound):
-    """Reference for the closed-form pair: the search as it was when the last
-    two weights still came from a divisor scan and a forced last weight."""
-    out = []
-    slots_total = n + 1
-    for m in range(1, bound + 1):
-        target_prod = m ** n
-        factors = {p: e * n for p, e in _factorize(m).items()}
-        divs = _divisors_bounded(factors, bound)
-
-        def extend(start, slots, sum_left, prod_left, acc):
-            if slots == 1:
-                if sum_left == prod_left:
-                    out.append((*acc, sum_left))
-                return
-            for idx in range(start, len(divs)):
-                a = divs[idx]
-                if a * slots > sum_left:
-                    break
-                if prod_left % a:
-                    continue
-                rest = prod_left // a
-                if rest > bound ** (slots - 1):
-                    continue
-                if rest < a ** (slots - 1):
-                    continue
-                acc.append(a)
-                extend(idx, slots - 1, sum_left - a, rest, acc)
-                acc.pop()
-
-        extend(0, slots_total, slots_total * m, target_prod, [])
-    return sorted(out)
-
-
-# Reference for the descending walk: the search as it was when it picked the
-# weights in ascending order and solved for the two largest at the leaf.
-def ascending_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
-    """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
-    well-formed or not.  The last two weights x <= y are the roots of
-    t^2 - S*t + P (remaining sum and product); no parity check is needed, as
-    the root of S^2 - 4P has the parity of S.  Since x * y = P divides m^n and
-    x <= y <= bound, x is a walked divisor, so x >= divs[start] (the walk stays
-    ascending) and y <= bound are the only range checks.  Each m has its own
-    sum and the ascending walk visits a tuple once: no duplicates."""
+def per_sum_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
+    """_raw_solutions one sum at a time, sharing only s = (n+1)*m with it
+    (lift proves it; test_anchored_by_brute_force checks it).  Weights are
+    picked from the smallest up, each at most the mean of the weights left
+    and a divisor of the product left; the two largest x <= y are the roots
+    of t^2 - S*t + P, kept when x >= the last pick and y <= bound."""
     out: list[tuple[int, ...]] = []
-    slots_total = n + 1
+
+    def pick(low, slots, sum_left, prod_left, acc):
+        if slots == 2:
+            disc = sum_left * sum_left - 4 * prod_left
+            root = isqrt(disc) if disc >= 0 else -1
+            # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
+            x, y = (sum_left - root) // 2, (sum_left + root) // 2
+            if root * root == disc and x >= low and y <= bound:
+                out.append((*acc, x, y))
+            return
+        for a in range(low, sum_left // slots + 1):
+            if prod_left % a == 0:
+                pick(a, slots - 1, sum_left - a, prod_left // a, (*acc, a))
+
     for m in range(1, bound + 1):
-        target_prod = m ** n
-        factors = {p: e * n for p, e in _factorize(m).items()}
-        divs = _divisors_bounded(factors, bound)
-
-        def extend(start: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            if slots == 2:
-                disc = sum_left * sum_left - 4 * prod_left
-                if disc < 0:
-                    return
-                root = isqrt(disc)
-                if root * root == disc:
-                    # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
-                    x, y = (sum_left - root) // 2, (sum_left + root) // 2
-                    if x >= divs[start] and y <= bound:
-                        out.append((*acc, x, y))
-                return
-            for idx in range(start, len(divs)):
-                a = divs[idx]
-                # entries are ascending, so the remaining sum is at least slots * a
-                if a * slots > sum_left:
-                    break
-                if prod_left % a:
-                    continue
-                rest = prod_left // a
-                if rest > bound ** (slots - 1):
-                    continue
-                if rest < a ** (slots - 1):
-                    continue
-                acc.append(a)
-                extend(idx, slots - 1, sum_left - a, rest, acc)
-                acc.pop()
-
-        extend(0, slots_total, slots_total * m, target_prod, [])
+        pick(1, n + 1, (n + 1) * m, m ** n, ())
     return sorted(out)
 
 
@@ -246,25 +187,34 @@ class TestBoundLimit:
         assert enumerate_solutions(n, bound) == []
 
 
-class TestClosedFormPair:
-    @pytest.mark.parametrize("n,bound", [(1, 2000), (2, 3000), (3, 600),
-                                         (4, 200), (5, 120), (6, 40)])
-    def test_matches_divisor_scan(self, n, bound):
-        assert _raw_solutions(n, bound) == divisor_scan_raw_solutions(n, bound)
-
-
-class TestDescendingWalk:
-    """The descending walk against the ascending one it replaced."""
+class TestPerSumReference:
+    """The search against a reference that walks the other way and shares
+    no divisor code with it."""
 
     # At (2, 300) a leaf without the x >= 1 check would keep (-9, -1, 100).
-    @pytest.mark.parametrize("n,bound", [(2, 300), (3, 2000), (4, 500), (5, 200), (6, 60)])
-    def test_matches_ascending_walk(self, n, bound):
-        assert _raw_solutions(n, bound) == ascending_raw_solutions(n, bound)
+    @pytest.mark.parametrize("n,bound", [
+        (1, 2000), (2, 300), (2, 3000), (3, 500), (3, 600), (4, 200), (4, 300),
+        (5, 60), (5, 120), (6, 40), (6, 60),
+        pytest.param(3, 2000, marks=pytest.mark.slow),
+        pytest.param(4, 500, marks=pytest.mark.slow),
+        pytest.param(5, 200, marks=pytest.mark.slow),
+    ])
+    def test_matches_search(self, n, bound):
+        assert _raw_solutions(n, bound) == per_sum_raw_solutions(n, bound)
 
+    # A tuple's mean m is at most its largest weight, so the reference at a
+    # bound is the part of the reference at top whose largest weight fits.
     @pytest.mark.parametrize("n,top", [(1, 60), (2, 120), (3, 40), (4, 25), (5, 16), (6, 12)])
-    def test_matches_ascending_walk_at_every_bound(self, n, top):
+    def test_matches_search_at_every_bound(self, n, top):
+        walk = per_sum_raw_solutions(n, top)
         for bound in range(1, top + 1):
-            assert _raw_solutions(n, bound) == ascending_raw_solutions(n, bound), bound
+            assert _raw_solutions(n, bound) == [w for w in walk if w[-1] <= bound], bound
+
+    @pytest.mark.parametrize("n,bound", [(1, 60), (2, 60), (3, 30), (4, 14), (5, 9)])
+    def test_anchored_by_brute_force(self, n, bound):
+        well_formed = [w for w in map(WeightTuple, per_sum_raw_solutions(n, bound))
+                       if is_well_formed(w)]
+        assert well_formed == brute_force_oracle(n, bound)
 
 
 class TestOracle:
