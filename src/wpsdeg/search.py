@@ -11,19 +11,22 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 
     prod(a_i) = m^n,    sum(a_i) = (n+1) * m.
 
-Every a_i therefore divides m^n.  For each m up to the bound we walk the
-divisors of m^n that are at most the bound from the largest weight down:
-each weight lies between the mean of the weights left and the last pick,
-and the product left caps how far it may fall, so the bound starts the walk
-instead of failing its leaves.  The two smallest weights are never
-searched: once all others are fixed, the remaining sum S and product P make
-them the roots x <= y of t^2 - S*t + P, so one integer square root of
-S^2 - 4P decides the branch (`_raw_solutions` gives the range checks).
+Every a_i therefore divides m^n.  One smallest-prime-factor sieve over
+1..bound factors every m, and each divisor list of m^n is built up prime by
+prime and cut at the bound.  For each m up to the bound we walk that list
+from the largest weight down: each weight lies between the mean of the
+weights left and the last pick, and the product left caps how far it may
+fall, so the bound (or the sum less n, if smaller: every other weight is at
+least 1) starts the walk instead of failing its leaves.  The two smallest
+weights are never searched: once the third smallest is picked, the
+remaining sum S and product P make them the roots x <= y of t^2 - S*t + P,
+so one integer square root of S^2 - 4P, taken in the same loop, decides the
+pick (`_raw_solutions` gives the range checks).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import comb, isqrt
 
 # classify_solution and isolated_rigid_points are read here only by bench/spans.py PROBES.
@@ -39,15 +42,15 @@ ORACLE_ITERATION_CUTOFF = 10 ** 9
 # 500 levels leave half of CPython's default recursion limit to the caller.
 MAX_SEARCH_DIMENSION = 500
 
-# Largest bound the search accepts: it factors and walks every m up to the
-# bound.  Dimension 3 takes about 3 s at this bound, dimensions 1 and 2 less
-# (2-core VM, CPython 3.11.7).
+# Largest bound the search accepts: it sieves to the bound and walks every m
+# up to it.  Dimension 3 takes about 2 s at this bound and dimension 2
+# about 0.5 s; dimension 1 has a closed form (2-core VM, CPython 3.11.7).
 MAX_SEARCH_BOUND = 4 * 10**4
 
 # Largest walk the search accepts, sized as comb(bound + n - 2, n - 1), the
 # non-increasing (n-1)-tuples of weights <= bound that one m's walk would
-# visit without its breaks.  At this size the walk takes about 2 s at
-# (n, bound) = (4, 4931), 0.7 s at (5, 830), 0.15 s at (8, 97) and 0.08 s at
+# visit without its breaks.  At this size the walk takes about 1.9 s at
+# (n, bound) = (4, 4931), 0.8 s at (5, 830), 0.2 s at (8, 97) and 0.1 s at
 # (500, 5) (same machine); (4, 1000) and (5, 200) are over 100 times smaller.
 MAX_SEARCH_TUPLES = 2 * 10**10
 
@@ -58,65 +61,93 @@ def _check_dimension(n: int) -> None:
                              f"{MAX_SEARCH_DIMENSION} (one recursion level per weight)")
 
 
-def _factorize(m: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
+def _smallest_prime_factors(bound: int) -> list[int]:
+    """spf[m] is the smallest prime factor of m, for 2 <= m <= bound.  One
+    sieve serves every m of a search: m factors as spf[m] times m // spf[m]."""
+    spf = list(range(bound + 1))
+    for p in range(2, isqrt(bound) + 1):
+        if spf[p] == p:
+            for q in range(p * p, bound + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
 
 
-def _divisors_bounded(factors: dict[int, int], bound: int) -> list[int]:
+def _divisors_bounded(m: int, n: int, spf: list[int], bound: int) -> list[int]:
+    """The divisors of m^n that are at most bound, ascending; spf is a sieve
+    reaching m.  Each prime power p^e of m multiplies the list so far by p,
+    p^2, ..., p^(e*n) and stops at the bound; the list is kept ascending, so
+    the first d with d*p past the bound ends the prime."""
     divs = [1]
-    for p, e in factors.items():
-        divs = [d * p ** k for d in divs for k in range(e + 1) if d * p ** k <= bound]
-    return sorted(divs)
+    while m > 1:
+        p = spf[m]
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        powers = []
+        for d in divs:
+            if d * p > bound:
+                break
+            for _ in range(e * n):
+                d *= p
+                if d > bound:
+                    break
+                powers.append(d)
+        divs += powers
+        divs.sort()
+    return divs
 
 
 def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
-    well-formed or not.  The weights are picked from the largest down, each
+    well-formed or not.
+
+    For n = 1 the only one is (1, 1): 2xy = x + y <= 2y gives x = 1, and
+    then 2y = 1 + y gives y = 1.
+
+    For n >= 2 one smallest-prime-factor sieve over 1..bound gives every m
+    its divisor list.  The weights are picked from the largest down, each
     one a divisor of m^n no larger than the one before, so the first pick
-    starts at the bound.  With k weights left, of sum S and product P, the
-    largest is at least ceil(S / k), where the walk stops, and at most a with
-    a^k >= P, which breaks the walk as a falls.  The two smallest weights
-    x <= y are the roots of t^2 - S*t + P; no parity check is needed, as the
-    root of S^2 - 4P has the parity of S.  They are kept when x >= 1 (a pick
-    past the sum left makes S and both roots negative) and y <= the last pick
-    (or the bound).  Each m has its own sum and the descending walk visits a
-    tuple once: no duplicates."""
+    starts at the bound, or at the sum less n if that is smaller, as the
+    other n weights are at least 1.  With k weights left, of sum S and
+    product P, the largest is at least ceil(S / k), where the walk stops,
+    and at most a with a^k >= P, which breaks the walk as a falls.  Once the
+    third smallest a is picked, the two smallest x <= y are the roots of
+    t^2 - s*t + p with s = S - a and p = P / a, solved in the same loop; no
+    parity check is needed, as the root of s^2 - 4p has the parity of s.
+    They are kept when x >= 1, which is s > root (a pick past the sum left
+    makes s and both roots negative), and y <= a.  Each m has its own sum
+    and the descending walk visits a tuple once: no duplicates."""
+    if n == 1:
+        return [(1, 1)]
     out: list[tuple[int, ...]] = []
+    spf = _smallest_prime_factors(bound)
     for m in range(1, bound + 1):
-        factors = {p: e * n for p, e in _factorize(m).items()}
-        divs = _divisors_bounded(factors, bound)
+        divs = _divisors_bounded(m, n, spf, bound)
 
         def extend(top: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            if slots == 2:
-                disc = sum_left * sum_left - 4 * prod_left
-                if disc < 0:
-                    return
-                root = isqrt(disc)
-                # root^2 = S^2 - 4P = S^2 (mod 4) forces root = S (mod 2)
-                x, y = (sum_left - root) // 2, (sum_left + root) // 2
-                if root * root == disc and x >= 1 and y <= divs[top]:
-                    out.append((x, y, *reversed(acc)))
-                return
             for idx in range(top, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
                 a = divs[idx]
                 if a ** slots < prod_left:
                     break
                 if prod_left % a:
                     continue
-                acc.append(a)
-                extend(idx, slots - 1, sum_left - a, prod_left // a, acc)
-                acc.pop()
+                if slots > 3:
+                    acc.append(a)
+                    extend(idx, slots - 1, sum_left - a, prod_left // a, acc)
+                    acc.pop()
+                    continue
+                s = sum_left - a
+                disc = s * s - 4 * (prod_left // a)
+                if disc < 0:
+                    continue
+                root = isqrt(disc)
+                if root * root == disc and s > root and s + root <= 2 * a:
+                    out.append(((s - root) // 2, (s + root) // 2, a, *reversed(acc)))
 
-        extend(len(divs) - 1, n + 1, (n + 1) * m, m ** n, [])
+        total = (n + 1) * m
+        extend(bisect_right(divs, total - n) - 1, n + 1, total, m ** n, [])
     return sorted(out)
 
 
@@ -128,7 +159,7 @@ def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
     normalization changes sum and product, so the normalized tuple would not
     satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION, a bound
     past MAX_SEARCH_BOUND or a walk past MAX_SEARCH_TUPLES raises
-    CostLimitError before any factoring.
+    CostLimitError before any sieve or divisor list is built.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -137,7 +168,7 @@ def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
     _check_dimension(n)
     if bound > MAX_SEARCH_BOUND:
         raise CostLimitError(f"bound {bound} is past the search limit of {MAX_SEARCH_BOUND} "
-                             "(every m up to the bound is factored and walked)")
+                             "(every m up to the bound is sieved and walked)")
     if comb(bound + n - 2, n - 1) > MAX_SEARCH_TUPLES:
         raise CostLimitError(f"dimension {n} with bound {bound} is past the search limit: "
                              f"comb({bound + n - 2}, {n - 1}) weight tuples to walk, "

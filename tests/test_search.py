@@ -160,14 +160,16 @@ class TestDimensionLimit:
 
 
 class TestBoundLimit:
-    """The bound is refused before any factoring once the search would take
-    seconds; the settings the tests and the benchmark use stay inside."""
+    """The bound is refused before any sieve or divisor list is built once the
+    search would take seconds; the settings the tests and the benchmark use
+    stay inside."""
 
     @pytest.fixture
     def no_factoring(self, monkeypatch):
-        def refuse(m):
-            raise AssertionError("factored past the limit")
-        monkeypatch.setattr(search, "_factorize", refuse)
+        def refuse(*args):
+            raise AssertionError("sieved or listed divisors past the limit")
+        monkeypatch.setattr(search, "_smallest_prime_factors", refuse)
+        monkeypatch.setattr(search, "_divisors_bounded", refuse)
 
     def test_bound_past_limit(self, no_factoring):
         with pytest.raises(CostLimitError, match=f"past the search limit of {MAX_SEARCH_BOUND}"):
@@ -187,11 +189,42 @@ class TestBoundLimit:
         assert enumerate_solutions(n, bound) == []
 
 
+class TestDivisorLists:
+    """The sieve and the divisor lists against trial division, which shares
+    no code with them."""
+
+    SIEVE_BOUND = 2000
+
+    @pytest.fixture(scope="class")
+    def spf(self):
+        return search._smallest_prime_factors(self.SIEVE_BOUND)
+
+    def test_sieve_factors_multiply_back(self, spf):
+        for m in range(2, self.SIEVE_BOUND + 1):
+            rest, product = m, 1
+            while rest > 1:
+                p = spf[rest]
+                assert rest % p == 0 and all(rest % q for q in range(2, p)), (m, p)
+                rest //= p
+                product *= p
+            assert product == m
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_divisors_match_trial_division(self, spf, n):
+        top = self.SIEVE_BOUND
+        for m in range(1, top + 1):
+            power = m ** n
+            scan = [d for d in range(1, top + 1) if power % d == 0]
+            for bound in (1, m, top):
+                assert search._divisors_bounded(m, n, spf, bound) == [
+                    d for d in scan if d <= bound], (m, bound)
+
+
 class TestPerSumReference:
     """The search against a reference that walks the other way and shares
     no divisor code with it."""
 
-    # At (2, 300) a leaf without the x >= 1 check would keep (-9, -1, 100).
+    # At (3, 500) a leaf without the x >= 1 check would keep (-35, -1, 196, 400).
     @pytest.mark.parametrize("n,bound", [
         (1, 2000), (2, 300), (2, 3000), (3, 500), (3, 600), (4, 200), (4, 300),
         (5, 60), (5, 120), (6, 40), (6, 60),
