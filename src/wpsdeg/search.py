@@ -14,10 +14,10 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 Every a_i therefore divides m^n.  One smallest-prime-factor sieve over
 1..bound factors every m, and each divisor list of m^n is built up prime by
 prime and cut at the bound.  For each m up to the bound we walk that list
-from the largest weight down: each weight lies between the mean of the
-weights left and the last pick, and the product left caps how far it may
-fall, so the bound (or the sum less n, if smaller: every other weight is at
-least 1) starts the walk instead of failing its leaves.  The two smallest
+from the largest weight down.  Every pick has one window: with k weights
+left, of sum S, it lies between the mean ceil(S / k) and the last pick or
+S - (k - 1), whichever is smaller, as the other k - 1 weights are each at
+least 1; the product left caps how far it may fall.  The two smallest
 weights are never searched: once the third smallest is picked, the
 remaining sum S and product P make them the roots x <= y of t^2 - S*t + P,
 so one integer square root of S^2 - 4P, taken in the same loop, decides the
@@ -43,14 +43,15 @@ ORACLE_ITERATION_CUTOFF = 10 ** 9
 MAX_SEARCH_DIMENSION = 500
 
 # Largest bound the search accepts: it sieves to the bound and walks every m
-# up to it.  Dimension 3 takes about 2 s at this bound and dimension 2
-# about 0.5 s; dimension 1 has a closed form (2-core VM, CPython 3.11.7).
+# up to it.  Dimension 3 takes about 1.5 s at this bound and dimension 2
+# about 0.5 s; dimension 1 has a closed form (shared 2-core VM, CPython
+# 3.11.7).
 MAX_SEARCH_BOUND = 4 * 10**4
 
 # Largest walk the search accepts, sized as comb(bound + n - 2, n - 1), the
 # non-increasing (n-1)-tuples of weights <= bound that one m's walk would
-# visit without its breaks.  At this size the walk takes about 1.9 s at
-# (n, bound) = (4, 4931), 0.8 s at (5, 830), 0.2 s at (8, 97) and 0.1 s at
+# visit without its breaks.  At this size the walk takes about 1 s at
+# (n, bound) = (4, 4931), 0.3 s at (5, 830) and 0.1 s at (8, 97) and at
 # (500, 5) (same machine); (4, 1000) and (5, 200) are over 100 times smaller.
 MAX_SEARCH_TUPLES = 2 * 10**10
 
@@ -108,17 +109,16 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
 
     For n >= 2 one smallest-prime-factor sieve over 1..bound gives every m
     its divisor list.  The weights are picked from the largest down, each
-    one a divisor of m^n no larger than the one before, so the first pick
-    starts at the bound, or at the sum less n if that is smaller, as the
-    other n weights are at least 1.  With k weights left, of sum S and
-    product P, the largest is at least ceil(S / k), where the walk stops,
-    and at most a with a^k >= P, which breaks the walk as a falls.  Once the
-    third smallest a is picked, the two smallest x <= y are the roots of
-    t^2 - s*t + p with s = S - a and p = P / a, solved in the same loop; no
-    parity check is needed, as the root of s^2 - 4p has the parity of s.
-    They are kept when x >= 1, which is s > root (a pick past the sum left
-    makes s and both roots negative), and y <= a.  Each m has its own sum
-    and the descending walk visits a tuple once: no duplicates."""
+    one a divisor of m^n.  With k weights left, of sum S and product P, the
+    pick a lies in one window, ceil(S / k) <= a <= min(last pick, S - k + 1):
+    the other k - 1 weights are each at least 1, and the bound stands for
+    the last pick of the first.  a^k >= P breaks the walk as a falls.  Once
+    the third smallest a is picked, the two smallest x <= y are the roots
+    of t^2 - s*t + p with s = S - a >= 2 and p = P / a >= 1, solved in the
+    same loop; no parity check is needed, as the root of s^2 - 4p has the
+    parity of s, and x >= 1 holds by the window, as root^2 < s^2.  They are
+    kept when y <= a.  Each m has its own sum and the descending walk visits
+    a tuple once: no duplicates."""
     if n == 1:
         return [(1, 1)]
     out: list[tuple[int, ...]] = []
@@ -127,7 +127,8 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
         divs = _divisors_bounded(m, n, spf, bound)
 
         def extend(top: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            for idx in range(top, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
+            start = min(top, bisect_right(divs, sum_left - slots + 1) - 1)
+            for idx in range(start, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
                 a = divs[idx]
                 if a ** slots < prod_left:
                     break
@@ -143,11 +144,10 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
                 if disc < 0:
                     continue
                 root = isqrt(disc)
-                if root * root == disc and s > root and s + root <= 2 * a:
+                if root * root == disc and s + root <= 2 * a:
                     out.append(((s - root) // 2, (s + root) // 2, a, *reversed(acc)))
 
-        total = (n + 1) * m
-        extend(bisect_right(divs, total - n) - 1, n + 1, total, m ** n, [])
+        extend(len(divs) - 1, n + 1, (n + 1) * m, m ** n, [])
     return sorted(out)
 
 

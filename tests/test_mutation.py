@@ -79,6 +79,10 @@ class TestSumQuadruple:
         with pytest.raises(ValueError):
             SumQuadruple(1, 1, 4, 6)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="entries must be positive"):
+            SumQuadruple(0, 1, 1, 2)
+
     def test_root_mutation(self):
         out = sum_mutate(SumQuadruple(1, 1, 2, 4), (0, 2))
         assert out.canonical() == (1, 2, 9, 12)

@@ -224,7 +224,9 @@ class TestPerSumReference:
     """The search against a reference that walks the other way and shares
     no divisor code with it."""
 
-    # At (3, 500) a leaf without the x >= 1 check would keep (-35, -1, 196, 400).
+    # Every pick is capped at the sum left less the slots after it; without
+    # the cap a pick can pass the sum left, and the walk keeps
+    # (-35, -1, 196, 400) at (3, 500).
     @pytest.mark.parametrize("n,bound", [
         (1, 2000), (2, 300), (2, 3000), (3, 500), (3, 600), (4, 200), (4, 300),
         (5, 60), (5, 120), (6, 40), (6, 60),
@@ -257,6 +259,11 @@ class TestOracle:
     def test_contains_known_solutions(self):
         found = {tuple(w) for w in brute_force_oracle(3, 30)}
         assert {(1, 2, 9, 12), (1, 4, 10, 25)} <= found
+
+    @pytest.mark.parametrize("n,bound", [(0, 5), (2, 0)])
+    def test_invalid_arguments(self, n, bound):
+        with pytest.raises(ValueError, match="need n >= 1 and bound >= 1"):
+            brute_force_oracle(n, bound)
 
     def test_refuses_past_cutoff(self):
         bound = int(round(ORACLE_ITERATION_CUTOFF ** 0.25)) + 2

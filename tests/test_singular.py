@@ -10,6 +10,7 @@ from wpsdeg import (
     Classification,
     CyclicQuotient,
     SingularStratum,
+    SmoothabilityReport,
     Verdict,
     WeightTuple,
     is_well_formed,
@@ -87,6 +88,10 @@ class TestCyclicQuotient:
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             CyclicQuotient(1, (1,))
+
+    def test_rejects_no_weights(self):
+        with pytest.raises(ValueError, match="need at least one weight"):
+            CyclicQuotient(5, ())
 
 
 class TestReidTai:
@@ -327,3 +332,8 @@ class TestSmoothabilityReport:
                   (1, 9, 50, 60)]:
             report = smoothability_report(WeightTuple(w))
             assert report.rigid_points == ()
+
+    def test_family_with_rigid_point_raises(self):
+        rigid = smoothability_report(WeightTuple((1, 4, 16, 27))).rigid_points
+        with pytest.raises(RuntimeError, match="one of the two computations is wrong"):
+            SmoothabilityReport(WeightTuple((1, 4, 10, 25)), Classification.P2_TYPE, rigid)
