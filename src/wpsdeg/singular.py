@@ -170,20 +170,32 @@ def singular_strata(weights) -> list[SingularStratum]:
 def isolated_rigid_points(weights) -> list[SingularStratum]:
     """Isolated cyclic quotient points: rigidity obstructions in dim >= 3.
 
-    A dimension-0 stratum is isolated when no larger singular stratum passes
-    through it, equivalently when its weight is coprime to every other
-    weight.  In ambient dimension >= 3 such a point makes the whole space
-    rigid, hence not smoothable.  The dimension hypothesis is mandatory,
-    so lower-dimensional input is an error.
+    In ambient dimension >= 3 an isolated cyclic quotient point is rigid
+    (Schlessinger, *Rigidity of quotient singularities*, 1971), so the whole
+    space is not smoothable.  On a well-formed P(a) these points are exactly
+    the weights a_i > 1 coprime to every other weight, read off by one gcd
+    each, in the order and form singular_strata gives them (a_i = 1 is a
+    smooth point):
+
+    - if a_i is coprime to all a_j (j != i), then J(a_i) = {i} and no other
+      order o (a gcd of weights) divides a_i, since o | a_i would make o a
+      common divisor of a_i and some a_j; so {i} is a maximal point stratum;
+    - if gcd(a_i, a_j) = g > 1 for some j != i, then g is an order dividing
+      a_i, and g = a_i would put j in J(a_i); so either the stratum on a_i
+      has dimension >= 1 or g is another order dividing a_i, and the point
+      is not isolated.
+
+    The dimension hypothesis is mandatory, so lower-dimensional input is an
+    error, as is input that is not well-formed.
     """
     w = WeightTuple(weights)
     if w.dim < 3:
         raise ValueError("rigidity of quotient points needs ambient dimension >= 3")
-    points = [s for s in singular_strata(w) if s.is_isolated_point]
-    for stratum in points:
-        i = stratum.indices[0]
-        assert all(gcd(w[i], w[j]) == 1 for j in range(len(w)) if j != i)
-    return points
+    if not is_well_formed(w):
+        raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
+    product = w.product
+    return [SingularStratum((i,), a, CyclicQuotient(a, w[:i] + w[i + 1:]), True)
+            for i, a in enumerate(w) if a > 1 and gcd(a, product // a) == 1]
 
 
 _FAMILY_VERDICTS = {

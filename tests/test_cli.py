@@ -446,6 +446,20 @@ class TestCachedParser:
         assert proc.stdout.strip() == "0"
 
 
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["lift", "1,1,4"], 0, "(1,1,2,4)\n"),
+    (["lift", "1,1,2"], 1, "(1,1,2) is not a dimension-2 solution\n"),
+    (["enumerate", "--dim", "0", "--bound", "1"], 2, ""),
+])
+def test_module_exit_code_reaches_shell(argv, code, stdout):
+    src = str(Path(wpsdeg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "wpsdeg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == stdout
+
+
 def test_denumerant_past_table_limit_is_usage_error(capsys):
     # lcm(977, 983, 991, 997) is about 9.5e11 and the degree about 9.9e11, so no
     # interpolation applies; the limit is checked before the table is allocated.
@@ -562,6 +576,7 @@ class TestEachTupleAnalysedOnce:
 
     @pytest.fixture
     def strata_calls(self, monkeypatch):
+        import wpsdeg.cli
         import wpsdeg.singular
 
         calls = []
@@ -571,7 +586,8 @@ class TestEachTupleAnalysedOnce:
             calls.append(tuple(weights))
             return original(weights)
 
-        monkeypatch.setattr(wpsdeg.singular, "singular_strata", counting)
+        for module in (wpsdeg.singular, wpsdeg.cli):
+            monkeypatch.setattr(module, "singular_strata", counting)
         return calls
 
     @pytest.mark.parametrize("argv,reports", [
@@ -593,16 +609,21 @@ class TestEachTupleAnalysedOnce:
         run(capsys, *argv)
         assert len(calls) == reports
 
-    def test_enumerate_one_strata_call_per_solution(self, capsys, strata_calls):
+    # Rigid points are read off the weights, so records build no strata.
+    def test_enumerate_makes_no_strata_call(self, capsys, strata_calls):
         code, out = run(capsys, "enumerate", "--dim", "4", "--bound", "300",
                         "--degree", "5", "--format", "md")
         assert code == 0
         assert "98 solutions." in out
-        assert len(strata_calls) == 98
-        assert len(set(strata_calls)) == 98
+        assert strata_calls == []
 
     @pytest.mark.parametrize("weights", ["1,1,2,4", "1,4,16,27", "3,4,63,98"])
     def test_classify_at_most_one_strata_call(self, capsys, strata_calls, weights):
         code, _ = run(capsys, "classify", weights, "--degree", "5")
         assert code == 0
-        assert len(strata_calls) <= 1
+        assert strata_calls == []
+
+    def test_singular_one_strata_call(self, capsys, strata_calls):
+        code, _ = run(capsys, "singular", "1,4,10,25")
+        assert code == 0
+        assert strata_calls == [(1, 4, 10, 25)]

@@ -13,6 +13,7 @@ from wpsdeg import (
     SmoothabilityReport,
     Verdict,
     WeightTuple,
+    enumerate_solutions,
     is_well_formed,
     isolated_rigid_points,
     normalize,
@@ -269,18 +270,28 @@ class TestIsolatedRigidPoints:
         with pytest.raises(ValueError):
             isolated_rigid_points(WeightTuple((1, 1, 4)))
 
+    def test_rejects_non_well_formed(self):
+        with pytest.raises(ValueError, match="not well-formed"):
+            isolated_rigid_points(WeightTuple((2, 2, 4, 8)))
+
     @given(st.lists(st.integers(1, 60), min_size=4, max_size=5).map(
         lambda entries: normalize(entries)))
     @settings(max_examples=100, deadline=None)
-    def test_matches_pairwise_gcd_criterion(self, w):
+    def test_matches_strata_filter(self, w):
         if w.dim < 3:
             return
-        got = {s.indices[0] for s in isolated_rigid_points(w)}
-        expected = {
-            i for i in range(len(w))
-            if w[i] > 1 and all(gcd(w[i], w[j]) == 1 for j in range(len(w)) if j != i)
-        }
-        assert got == expected
+        expected = [s for s in singular_strata(w) if s.is_isolated_point]
+        assert isolated_rigid_points(w) == expected
+
+    def test_matches_strata_filter_on_every_benchmark_solution(self):
+        checked = rigid = 0
+        for n, bound in ((3, 2000), (4, 500), (5, 200)):
+            for w in enumerate_solutions(n, bound):
+                points = isolated_rigid_points(w)
+                assert points == [s for s in singular_strata(w) if s.is_isolated_point], w
+                checked += 1
+                rigid += bool(points)
+        assert (checked, rigid) == (538, 19)
 
 
 class TestSmoothabilityReport:
@@ -314,9 +325,9 @@ class TestSmoothabilityReport:
 
     def test_rigid_points_subset_of_strata(self):
         report = smoothability_report(WeightTuple((1, 4, 16, 27)))
-        assert set(report.rigid_points) <= set(singular_strata(report.weights))
-        for s in report.rigid_points:
-            assert s.dimension == 0
+        assert list(report.rigid_points) == [
+            s for s in singular_strata(report.weights) if s.is_isolated_point]
+        assert [s.dimension for s in report.rigid_points] == [0]
 
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,9 @@ class TestWeightTuple:
         assert w.total == 8
         assert w.product == 8
 
+    def test_repr(self):
+        assert repr(WeightTuple((4, 1, 2, 1))) == "WeightTuple((1, 1, 2, 4))"
+
     @pytest.mark.parametrize("bad", [(), (5,), (1, 0), (1, -2), (1, 2.5), (1, True)])
     def test_rejects_invalid_entries(self, bad):
         with pytest.raises((ValueError, TypeError)):
