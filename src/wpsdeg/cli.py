@@ -310,10 +310,22 @@ _AT_LEAST_ONE = ("dim", "bound", "max_weight", "degree", "q")
 
 
 def main(argv=None) -> int:
-    """Run one CLI call with the cached parser and return its exit code."""
-    # Every integer is bounded by argv, so lift CPython's int/str digit limit (3.10.7+).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    """Run one CLI call with the cached parser and return its exit code.
+
+    Every integer is bounded by argv, so CPython's int/str digit limit
+    (3.10.7+) is lifted for the call; the caller's limit is back in place
+    on every way out, a return, a usage error or a cost limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command != "tree":

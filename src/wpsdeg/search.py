@@ -13,15 +13,16 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 
 Every a_i therefore divides m^n.  One smallest-prime-factor sieve over
 1..bound factors every m, and each divisor list of m^n is built up prime by
-prime and cut at the bound.  For each m up to the bound we walk that list
-from the largest weight down.  Every pick has one window: with k weights
-left, of sum S, it lies between the mean ceil(S / k) and the last pick or
-S - (k - 1), whichever is smaller, as the other k - 1 weights are each at
-least 1; the product left caps how far it may fall.  The two smallest
-weights are never searched: once the third smallest is picked, the
-remaining sum S and product P make them the roots x <= y of t^2 - S*t + P,
-so one integer square root of S^2 - 4P, taken in the same loop, decides the
-pick (`_raw_solutions` gives the range checks).
+prime and cut at the bound.  Each m up to the bound is one call of
+`_solutions_with_sum`, which walks that list from the largest weight down.
+Every pick has one window: with k weights left, of sum S, it lies between
+the mean ceil(S / k) and the last pick or S - (k - 1), whichever is
+smaller, as the other k - 1 weights are each at least 1; the product left
+caps how far it may fall.  The two smallest weights are never searched:
+once the third smallest is picked, the remaining sum S and product P make
+them the roots x <= y of t^2 - S*t + P, so one integer square root of
+S^2 - 4P, taken in the same loop, decides the pick (`_raw_solutions` gives
+the range checks).
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ MAX_SEARCH_DIMENSION = 500
 # Largest bound the search accepts: it sieves to the bound and walks every m
 # up to it.  Dimension 3 takes about 1.5 s at this bound and dimension 2
 # about 0.5 s; dimension 1 has a closed form (shared 2-core VM, CPython
-# 3.11.7).
+# 3.11.7).  The per-sum reference in tests/test_search.py checks every m up
+# to 2000 in dimension 3, and at this bound the 19 sums m <= 12,610 that the
+# family trees name.
 MAX_SEARCH_BOUND = 4 * 10**4
 
 # Largest walk the search accepts, sized as comb(bound + n - 2, n - 1), the
@@ -53,6 +56,9 @@ MAX_SEARCH_BOUND = 4 * 10**4
 # visit without its breaks.  At this size the walk takes about 1 s at
 # (n, bound) = (4, 4931), 0.3 s at (5, 830) and 0.1 s at (8, 97) and at
 # (500, 5) (same machine); (4, 1000) and (5, 200) are over 100 times smaller.
+# The per-sum reference checks every m up to (4, 500), (5, 200) and (6, 60),
+# and the tree sums m at (5, 830) and, as a slow test, at (4, 4931); nothing
+# checks (8, 97).
 MAX_SEARCH_TUPLES = 2 * 10**10
 
 
@@ -100,6 +106,42 @@ def _divisors_bounded(m: int, n: int, spf: list[int], bound: int) -> list[int]:
     return divs
 
 
+def _walk(divs: list[int], top: int, slots: int, sum_left: int, prod_left: int,
+          acc: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
+    """Append to out every solution whose largest weights are acc, ascending,
+    and whose other slots weights, of sum sum_left and product prod_left,
+    are drawn from divs[:top + 1].  The state travels in the arguments, so
+    one function object serves every m (see _raw_solutions for the window
+    and the leaf)."""
+    start = min(top, bisect_right(divs, sum_left - slots + 1) - 1)
+    for idx in range(start, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
+        a = divs[idx]
+        if a ** slots < prod_left:
+            break
+        if prod_left % a:
+            continue
+        if slots > 3:
+            _walk(divs, idx, slots - 1, sum_left - a, prod_left // a, (a,) + acc, out)
+            continue
+        s = sum_left - a
+        disc = s * s - 4 * (prod_left // a)
+        if disc < 0:
+            continue
+        root = isqrt(disc)
+        if root * root == disc and s + root <= 2 * a:
+            out.append(((s - root) // 2, (s + root) // 2, a) + acc)
+
+
+def _solutions_with_sum(m: int, n: int, spf: list[int], bound: int) -> list[tuple[int, ...]]:
+    """The ascending (n+1)-tuples with entries <= bound, sum (n+1)*m and
+    product m^n, for n >= 2; spf is a sieve reaching m.  Each is found once,
+    in the walk's order, not sorted."""
+    out: list[tuple[int, ...]] = []
+    divs = _divisors_bounded(m, n, spf, bound)
+    _walk(divs, len(divs) - 1, n + 1, (n + 1) * m, m ** n, (), out)
+    return out
+
+
 def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     """All ascending (n+1)-tuples with entries <= bound satisfying the equation,
     well-formed or not.
@@ -107,48 +149,23 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     For n = 1 the only one is (1, 1): 2xy = x + y <= 2y gives x = 1, and
     then 2y = 1 + y gives y = 1.
 
-    For n >= 2 one smallest-prime-factor sieve over 1..bound gives every m
-    its divisor list.  The weights are picked from the largest down, each
-    one a divisor of m^n.  With k weights left, of sum S and product P, the
-    pick a lies in one window, ceil(S / k) <= a <= min(last pick, S - k + 1):
-    the other k - 1 weights are each at least 1, and the bound stands for
-    the last pick of the first.  a^k >= P breaks the walk as a falls.  Once
-    the third smallest a is picked, the two smallest x <= y are the roots
-    of t^2 - s*t + p with s = S - a >= 2 and p = P / a >= 1, solved in the
-    same loop; no parity check is needed, as the root of s^2 - 4p has the
-    parity of s, and x >= 1 holds by the window, as root^2 < s^2.  They are
-    kept when y <= a.  Each m has its own sum and the descending walk visits
-    a tuple once: no duplicates."""
+    For n >= 2 one smallest-prime-factor sieve over 1..bound serves one
+    `_solutions_with_sum` call per m, and the results are sorted together.
+    Each call walks the divisor list of m^n with `_walk`, picking the
+    weights from the largest down.  With k weights left, of sum S and
+    product P, the pick a lies in one window, ceil(S / k) <= a <= min(last
+    pick, S - k + 1): the other k - 1 weights are each at least 1, and the
+    bound stands for the last pick of the first.  a^k >= P breaks the walk
+    as a falls.  Once the third smallest a is picked, the two smallest
+    x <= y are the roots of t^2 - s*t + p with s = S - a >= 2 and
+    p = P / a >= 1, solved in the same loop; no parity check is needed, as
+    the root of s^2 - 4p has the parity of s, and x >= 1 holds by the
+    window, as root^2 < s^2.  They are kept when y <= a.  Each m has its
+    own sum and the descending walk visits a tuple once: no duplicates."""
     if n == 1:
         return [(1, 1)]
-    out: list[tuple[int, ...]] = []
     spf = _smallest_prime_factors(bound)
-    for m in range(1, bound + 1):
-        divs = _divisors_bounded(m, n, spf, bound)
-
-        def extend(top: int, slots: int, sum_left: int, prod_left: int, acc: list[int]):
-            start = min(top, bisect_right(divs, sum_left - slots + 1) - 1)
-            for idx in range(start, bisect_left(divs, -(-sum_left // slots)) - 1, -1):
-                a = divs[idx]
-                if a ** slots < prod_left:
-                    break
-                if prod_left % a:
-                    continue
-                if slots > 3:
-                    acc.append(a)
-                    extend(idx, slots - 1, sum_left - a, prod_left // a, acc)
-                    acc.pop()
-                    continue
-                s = sum_left - a
-                disc = s * s - 4 * (prod_left // a)
-                if disc < 0:
-                    continue
-                root = isqrt(disc)
-                if root * root == disc and s + root <= 2 * a:
-                    out.append(((s - root) // 2, (s + root) // 2, a, *reversed(acc)))
-
-        extend(len(divs) - 1, n + 1, (n + 1) * m, m ** n, [])
-    return sorted(out)
+    return sorted(w for m in range(1, bound + 1) for w in _solutions_with_sum(m, n, spf, bound))
 
 
 def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:

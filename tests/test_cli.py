@@ -567,6 +567,35 @@ def test_weight_past_the_int_str_limit_is_parsed(capsys):
     assert json.loads(out)["record"]["weights"] == weights
 
 
+# A caller's digit limit set apart from CPython's default of 4300, and below
+# the 4801 digits of the product that the classify call prints.
+CALLER_DIGIT_LIMIT = 4321
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython before 3.10.7 has no int/str digit limit")
+@pytest.mark.parametrize("argv,code,printed", [
+    (["lift", "1,1,4"], 0, "(1,1,2,4)"),
+    (["classify", ",".join("1" + str(k).zfill(1200) for k in (1, 3, 7, 9))], 1,
+     _decimal_product((1, 3, 7, 9), 1200)),
+    (["enumerate", "--dim", "0", "--bound", "1"], 2, None),
+    (["enumerate", "--dim", "3", "--bound", "40001"], 2, None),
+], ids=["return", "print-4801-digits", "usage-error", "cost-limit"])
+def test_caller_int_str_limit_is_restored(capsys, argv, code, printed):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(CALLER_DIGIT_LIMIT)
+    try:
+        if printed is None:
+            assert run_usage_error(capsys, *argv) == code
+        else:
+            got, out = run(capsys, *argv)
+            assert got == code
+            assert printed in out
+        assert sys.get_int_max_str_digits() == CALLER_DIGIT_LIMIT
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run_usage_error(capsys) == 2
 

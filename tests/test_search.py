@@ -31,12 +31,13 @@ from wpsdeg.search import (
 from wpsdeg.weights import CostLimitError
 
 
-def per_sum_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
-    """_raw_solutions one sum at a time, sharing only s = (n+1)*m with it
-    (lift proves it; test_anchored_by_brute_force checks it).  Weights are
-    picked from the smallest up, each at most the mean of the weights left
-    and a divisor of the product left; the two largest x <= y are the roots
-    of t^2 - S*t + P, kept when x >= the last pick and y <= bound."""
+def per_sum_solutions(m: int, n: int, bound: int) -> list[tuple[int, ...]]:
+    """The raw solutions of sum (n+1)*m, found without the search's code:
+    they share only s = (n+1)*m with it (lift proves it;
+    test_anchored_by_brute_force checks it).  Weights are picked from the
+    smallest up, each at most the mean of the weights left and a divisor of
+    the product left; the two largest x <= y are the roots of t^2 - S*t + P,
+    kept when x >= the last pick and y <= bound."""
     out: list[tuple[int, ...]] = []
 
     def pick(low, slots, sum_left, prod_left, acc):
@@ -52,9 +53,25 @@ def per_sum_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
             if prod_left % a == 0:
                 pick(a, slots - 1, sum_left - a, prod_left // a, (*acc, a))
 
-    for m in range(1, bound + 1):
-        pick(1, n + 1, (n + 1) * m, m ** n, ())
-    return sorted(out)
+    pick(1, n + 1, (n + 1) * m, m ** n, ())
+    return out
+
+
+def per_sum_raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
+    """_raw_solutions by the reference, one sum at a time."""
+    return sorted(w for m in range(1, bound + 1) for w in per_sum_solutions(m, n, bound))
+
+
+def tree_sums() -> list[int]:
+    """The sums m that the dimension-3 family trees give at the search's
+    largest bound: pqr for each Markov triple whose solution
+    (p^2, q^2, r^2, pqr) fits the bound, and a/4 for each sum-type node of
+    sum a.  Each carries a dimension-3 solution by construction, and none is
+    read off the search's own output."""
+    markov = {p * q * r for p, q, r in generate_tree("markov", MAX_SEARCH_BOUND).nodes
+              if max(p, q, r) ** 2 <= MAX_SEARCH_BOUND and p * q * r <= MAX_SEARCH_BOUND}
+    sum_type = {sum(node) // 4 for node in generate_tree("sum", MAX_SEARCH_BOUND).nodes}
+    return sorted(markov | sum_type)
 
 
 def well_formed_lifts(solutions, bound):
@@ -244,6 +261,20 @@ class TestPerSumReference:
         walk = per_sum_raw_solutions(n, top)
         for bound in range(1, top + 1):
             assert _raw_solutions(n, bound) == [w for w in walk if w[-1] <= bound], bound
+
+    # The sizes the search's cost limits let through at their edge, checked
+    # on the sums the family trees name, since random m near the top carry
+    # no solutions.  The counts pin the check so that an empty list fails.
+    @pytest.mark.parametrize("n,bound,sums,solutions", [
+        (3, MAX_SEARCH_BOUND, 19, 22), (5, 830, 10, 62),
+        pytest.param(4, 4931, 15, 32, marks=pytest.mark.slow),
+    ])
+    def test_matches_search_on_tree_sums(self, n, bound, sums, solutions):
+        spf = search._smallest_prime_factors(bound)
+        ms = [m for m in tree_sums() if m <= bound]
+        found = {m: sorted(search._solutions_with_sum(m, n, spf, bound)) for m in ms}
+        assert found == {m: sorted(per_sum_solutions(m, n, bound)) for m in ms}
+        assert (len(found), sum(map(len, found.values()))) == (sums, solutions)
 
     @pytest.mark.parametrize("n,bound", [(1, 60), (2, 60), (3, 30), (4, 14), (5, 9)])
     def test_anchored_by_brute_force(self, n, bound):
