@@ -11,10 +11,10 @@ prime, so s = (n+1) * m for an integer m, and the equation collapses to
 
     prod(a_i) = m^n,    sum(a_i) = (n+1) * m.
 
-Every a_i therefore divides m^n.  One smallest-prime-factor sieve over
-1..bound factors every m, and each divisor list of m^n is built up prime by
-prime and cut at the bound.  Each m up to the bound is one call of
-`_solutions_with_sum`, which walks that list from the largest weight down.
+Every a_i therefore divides m^n.  One radical sieve over 1..bound builds
+the divisor lists of every m^n at once, cut at the bound and ascending
+(`_divisor_lists`).  Each m up to the bound is one call of
+`_solutions_with_sum`, which walks its list from the largest weight down.
 Every pick has one window: with k weights left, of sum S, it lies between
 the mean ceil(S / k) and the last pick or S - (k - 1), whichever is
 smaller, as the other k - 1 weights are each at least 1; the product left
@@ -43,12 +43,14 @@ ORACLE_ITERATION_CUTOFF = 10 ** 9
 # 500 levels leave half of CPython's default recursion limit to the caller.
 MAX_SEARCH_DIMENSION = 500
 
-# Largest bound the search accepts: it sieves to the bound and walks every m
-# up to it.  Dimension 3 takes about 1.5 s at this bound and dimension 2
-# about 0.5 s; dimension 1 has a closed form (shared 2-core VM, CPython
-# 3.11.7).  The per-sum reference in tests/test_search.py checks every m up
-# to 2000 in dimension 3, and at this bound the 19 sums m <= 12,610 that the
-# family trees name.
+# Largest bound the search accepts: it holds the divisor lists of every m up
+# to the bound at once and walks each.  At this bound dimension 3 takes
+# 1.0-1.6 s and peaks at 36 MB RSS (1.56 million list entries), dimension 2
+# 0.2-0.4 s and 32 MB; dimension 1 has a closed form (fresh process, shared
+# 2-core VM, CPython 3.11.7).  tests/test_search.py checks the lists against
+# trial division for 26 m at this bound in dimensions 2 and 3.  Its per-sum
+# reference checks every m up to 2000 in dimension 3, and at this bound the
+# 19 sums m <= 12,610 that the family trees name.
 MAX_SEARCH_BOUND = 4 * 10**4
 
 # Largest walk the search accepts, sized as comb(bound + n - 2, n - 1), the
@@ -57,8 +59,8 @@ MAX_SEARCH_BOUND = 4 * 10**4
 # (n, bound) = (4, 4931), 0.3 s at (5, 830) and 0.1 s at (8, 97) and at
 # (500, 5) (same machine); (4, 1000) and (5, 200) are over 100 times smaller.
 # The per-sum reference checks every m up to (4, 500), (5, 200) and (6, 60),
-# and the tree sums m at (5, 830) and, as a slow test, at (4, 4931); nothing
-# checks (8, 97).
+# the tree sums m at (5, 830) and, as a slow test, at (4, 4931), and at
+# (8, 97) every m up to 48, which carry 1,783 of the 1,821 raw solutions.
 MAX_SEARCH_TUPLES = 2 * 10**10
 
 
@@ -68,42 +70,33 @@ def _check_dimension(n: int) -> None:
                              f"{MAX_SEARCH_DIMENSION} (one recursion level per weight)")
 
 
-def _smallest_prime_factors(bound: int) -> list[int]:
-    """spf[m] is the smallest prime factor of m, for 2 <= m <= bound.  One
-    sieve serves every m of a search: m factors as spf[m] times m // spf[m]."""
-    spf = list(range(bound + 1))
-    for p in range(2, isqrt(bound) + 1):
-        if spf[p] == p:
-            for q in range(p * p, bound + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return spf
+def _divisor_lists(n: int, bound: int) -> list[list[int]]:
+    """lists[m] holds the divisors of m^n that are at most bound, ascending,
+    for 1 <= m <= bound.
 
-
-def _divisors_bounded(m: int, n: int, spf: list[int], bound: int) -> list[int]:
-    """The divisors of m^n that are at most bound, ascending; spf is a sieve
-    reaching m.  Each prime power p^e of m multiplies the list so far by p,
-    p^2, ..., p^(e*n) and stops at the bound; the list is kept ascending, so
-    the first d with d*p past the bound ends the prime."""
-    divs = [1]
-    while m > 1:
-        p = spf[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        powers = []
-        for d in divs:
-            if d * p > bound:
-                break
-            for _ in range(e * n):
-                d *= p
-                if d > bound:
-                    break
-                powers.append(d)
-        divs += powers
-        divs.sort()
-    return divs
+    The rule: d | m^n iff r(d) | m, where r(d) is the product of
+    p^ceil(e/n) over the prime powers p^e of d.  Proof: d | m^n iff
+    e <= n * v_p(m) for each p^e, that is v_p(m) >= ceil(e/n), which is
+    r(d) | m.  Taking m = r, the r with d | r^n are the multiples of r(d),
+    so r(d) is the least of them.  As 1 <= ceil(e/n) <= e, r(d) is a
+    multiple of rad(d), the product of the primes of d, and r(d) <= d.  So
+    stepping r up through the multiples of rad(d) until d | r^n stops at
+    r(d), and d goes on the list of every multiple of r(d).  One radical
+    sieve gives rad; d runs upwards, so each list comes out ascending, with
+    no factoring and no sort."""
+    rad = [1] * (bound + 1)
+    for p in range(2, bound + 1):
+        if rad[p] == 1:
+            for k in range(p, bound + 1, p):
+                rad[k] *= p
+    lists: list[list[int]] = [[] for _ in range(bound + 1)]
+    for d in range(1, bound + 1):
+        r = rad[d]
+        while pow(r, n, d):
+            r += rad[d]
+        for m in range(r, bound + 1, r):
+            lists[m].append(d)
+    return lists
 
 
 def _walk(divs: list[int], top: int, slots: int, sum_left: int, prod_left: int,
@@ -132,12 +125,12 @@ def _walk(divs: list[int], top: int, slots: int, sum_left: int, prod_left: int,
             out.append(((s - root) // 2, (s + root) // 2, a) + acc)
 
 
-def _solutions_with_sum(m: int, n: int, spf: list[int], bound: int) -> list[tuple[int, ...]]:
-    """The ascending (n+1)-tuples with entries <= bound, sum (n+1)*m and
-    product m^n, for n >= 2; spf is a sieve reaching m.  Each is found once,
-    in the walk's order, not sorted."""
+def _solutions_with_sum(m: int, n: int, divs: list[int]) -> list[tuple[int, ...]]:
+    """The ascending (n+1)-tuples with sum (n+1)*m and product m^n whose
+    entries are drawn from divs, for n >= 2; divs is _divisor_lists(n,
+    bound)[m], so the entries are at most bound.  Each is found once, in the
+    walk's order, not sorted."""
     out: list[tuple[int, ...]] = []
-    divs = _divisors_bounded(m, n, spf, bound)
     _walk(divs, len(divs) - 1, n + 1, (n + 1) * m, m ** n, (), out)
     return out
 
@@ -149,23 +142,23 @@ def _raw_solutions(n: int, bound: int) -> list[tuple[int, ...]]:
     For n = 1 the only one is (1, 1): 2xy = x + y <= 2y gives x = 1, and
     then 2y = 1 + y gives y = 1.
 
-    For n >= 2 one smallest-prime-factor sieve over 1..bound serves one
-    `_solutions_with_sum` call per m, and the results are sorted together.
-    Each call walks the divisor list of m^n with `_walk`, picking the
-    weights from the largest down.  With k weights left, of sum S and
-    product P, the pick a lies in one window, ceil(S / k) <= a <= min(last
-    pick, S - k + 1): the other k - 1 weights are each at least 1, and the
-    bound stands for the last pick of the first.  a^k >= P breaks the walk
-    as a falls.  Once the third smallest a is picked, the two smallest
-    x <= y are the roots of t^2 - s*t + p with s = S - a >= 2 and
+    For n >= 2 `_divisor_lists` builds every divisor list with one radical
+    sieve, each m is one `_solutions_with_sum` call, and the results are
+    sorted together.  Each call walks the divisor list of m^n with `_walk`,
+    picking the weights from the largest down.  With k weights left, of sum
+    S and product P, the pick a lies in one window, ceil(S / k) <= a <=
+    min(last pick, S - k + 1): the other k - 1 weights are each at least 1,
+    and the bound stands for the last pick of the first.  a^k >= P breaks
+    the walk as a falls.  Once the third smallest a is picked, the two
+    smallest x <= y are the roots of t^2 - s*t + p with s = S - a >= 2 and
     p = P / a >= 1, solved in the same loop; no parity check is needed, as
     the root of s^2 - 4p has the parity of s, and x >= 1 holds by the
     window, as root^2 < s^2.  They are kept when y <= a.  Each m has its
     own sum and the descending walk visits a tuple once: no duplicates."""
     if n == 1:
         return [(1, 1)]
-    spf = _smallest_prime_factors(bound)
-    return sorted(w for m in range(1, bound + 1) for w in _solutions_with_sum(m, n, spf, bound))
+    lists = _divisor_lists(n, bound)
+    return sorted(w for m in range(1, bound + 1) for w in _solutions_with_sum(m, n, lists[m]))
 
 
 def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
@@ -176,7 +169,7 @@ def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
     normalization changes sum and product, so the normalized tuple would not
     satisfy the equation.  A dimension past MAX_SEARCH_DIMENSION, a bound
     past MAX_SEARCH_BOUND or a walk past MAX_SEARCH_TUPLES raises
-    CostLimitError before any sieve or divisor list is built.
+    CostLimitError before the divisor lists are built.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -185,7 +178,7 @@ def enumerate_solutions(n: int, bound: int) -> list[WeightTuple]:
     _check_dimension(n)
     if bound > MAX_SEARCH_BOUND:
         raise CostLimitError(f"bound {bound} is past the search limit of {MAX_SEARCH_BOUND} "
-                             "(every m up to the bound is sieved and walked)")
+                             "(every m up to the bound gets a divisor list and a walk)")
     if comb(bound + n - 2, n - 1) > MAX_SEARCH_TUPLES:
         raise CostLimitError(f"dimension {n} with bound {bound} is past the search limit: "
                              f"comb({bound + n - 2}, {n - 1}) weight tuples to walk, "

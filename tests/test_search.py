@@ -177,16 +177,15 @@ class TestDimensionLimit:
 
 
 class TestBoundLimit:
-    """The bound is refused before any sieve or divisor list is built once the
-    search would take seconds; the settings the tests and the benchmark use
-    stay inside."""
+    """The bound is refused before the radical sieve and the divisor lists
+    are built once the search would take seconds; the settings the tests and
+    the benchmark use stay inside."""
 
     @pytest.fixture
     def no_factoring(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("sieved or listed divisors past the limit")
-        monkeypatch.setattr(search, "_smallest_prime_factors", refuse)
-        monkeypatch.setattr(search, "_divisors_bounded", refuse)
+        monkeypatch.setattr(search, "_divisor_lists", refuse)
 
     def test_bound_past_limit(self, no_factoring):
         with pytest.raises(CostLimitError, match=f"past the search limit of {MAX_SEARCH_BOUND}"):
@@ -207,34 +206,33 @@ class TestBoundLimit:
 
 
 class TestDivisorLists:
-    """The sieve and the divisor lists against trial division, which shares
-    no code with them."""
+    """The divisor lists against trial division, which shares no code with
+    them."""
 
-    SIEVE_BOUND = 2000
+    @staticmethod
+    def trial_division(m, n, bound):
+        power = m ** n
+        return [d for d in range(1, bound + 1) if power % d == 0]
 
-    @pytest.fixture(scope="class")
-    def spf(self):
-        return search._smallest_prime_factors(self.SIEVE_BOUND)
+    @pytest.mark.parametrize("n,bound", [
+        *((n, bound) for n in range(1, 7) for bound in (1, 2, 97, 2000)), (8, 97)])
+    def test_every_m_matches_trial_division(self, n, bound):
+        lists = search._divisor_lists(n, bound)
+        assert len(lists) == bound + 1
+        for m in range(1, bound + 1):
+            assert lists[m] == self.trial_division(m, n, bound), m
 
-    def test_sieve_factors_multiply_back(self, spf):
-        for m in range(2, self.SIEVE_BOUND + 1):
-            rest, product = m, 1
-            while rest > 1:
-                p = spf[rest]
-                assert rest % p == 0 and all(rest % q for q in range(2, p)), (m, p)
-                rest //= p
-                product *= p
-            assert product == m
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_divisors_match_trial_division(self, spf, n):
-        top = self.SIEVE_BOUND
-        for m in range(1, top + 1):
-            power = m ** n
-            scan = [d for d in range(1, top + 1) if power % d == 0]
-            for bound in (1, m, top):
-                assert search._divisors_bounded(m, n, spf, bound) == [
-                    d for d in scan if d <= bound], (m, bound)
+    # At the search's largest bound: the tree sums, the bound itself, a
+    # product of three primes, a power of 2 and of 3, two highly composite
+    # m and the largest prime below the bound.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_trial_division_at_bound_limit(self, n):
+        bound = MAX_SEARCH_BOUND
+        ms = tree_sums() + [40000, 39999, 32768, 19683, 30030, 27720, 39989]
+        assert len(set(ms)) == 26 and max(ms) <= bound
+        lists = search._divisor_lists(n, bound)
+        for m in ms:
+            assert lists[m] == self.trial_division(m, n, bound), m
 
 
 class TestPerSumReference:
@@ -270,11 +268,22 @@ class TestPerSumReference:
         pytest.param(4, 4931, 15, 32, marks=pytest.mark.slow),
     ])
     def test_matches_search_on_tree_sums(self, n, bound, sums, solutions):
-        spf = search._smallest_prime_factors(bound)
+        lists = search._divisor_lists(n, bound)
         ms = [m for m in tree_sums() if m <= bound]
-        found = {m: sorted(search._solutions_with_sum(m, n, spf, bound)) for m in ms}
+        found = {m: sorted(search._solutions_with_sum(m, n, lists[m])) for m in ms}
         assert found == {m: sorted(per_sum_solutions(m, n, bound)) for m in ms}
         assert (len(found), sum(map(len, found.values()))) == (sums, solutions)
+
+    # Dimension 8 at bound 97 is inside the walk limit.  The reference takes
+    # over 10 s for each of m = 60, 84 and 90, so the check stops at m = 48;
+    # those 48 m carry 1,783 of the search's 1,821 raw solutions.
+    def test_matches_search_in_dimension_8(self):
+        n, bound, ms = 8, 97, range(1, 49)
+        lists = search._divisor_lists(n, bound)
+        found = {m: sorted(search._solutions_with_sum(m, n, lists[m])) for m in ms}
+        assert found == {m: sorted(per_sum_solutions(m, n, bound)) for m in ms}
+        assert (len(found), sum(map(len, found.values()))) == (48, 1783)
+        assert len(_raw_solutions(n, bound)) == 1821
 
     @pytest.mark.parametrize("n,bound", [(1, 60), (2, 60), (3, 30), (4, 14), (5, 9)])
     def test_anchored_by_brute_force(self, n, bound):
