@@ -113,8 +113,11 @@ def anticanonical_volume(weights) -> Fraction:
 
 
 # Largest coin-counting table denumerants fills, in entries.  At the limit,
-# denumerant(9_999_000, (1, 1, 1, 1, 2, 9_999_991)) takes about 3 s and a
-# peak RSS of about 550 MB, nearly all of it the table's big integers.
+# denumerant(9_999_000, (1, 1, 1, 1, 2, 9_999_991)) sums out its 2 and takes
+# 1.5-2 s.  The slowest tuple measured there keeps its table, since its
+# reads would cost more: (1, 1, 2, 3, 1409, 1423) at the same degree takes
+# 3-4.5 s.  Both peak at about 550 MB RSS, nearly all of it the table's big
+# integers (CPython 3.11, shared 2-core VM).
 MAX_DENUMERANT_TABLE = 10**7
 
 # Most new table entries one slice step of the fill writes, so what a step
@@ -125,6 +128,15 @@ _PIECE = 4096
 class CostLimitError(ValueError):
     """Input past a cost limit: denumerant table, Reid-Tai walk, search
     dimension, search bound, search walk size or tree max weight."""
+
+
+def _sum_out_pays(reads, top, second, largest) -> bool:
+    """True when reading the two largest weights costs no more than filling
+    the second: sum over the degrees m read of m / largest + m^2 / (2 *
+    largest * second), the strided sums and the entries they add, is at most
+    top, the additions the fill of `second` would make.  Multiplied through
+    by 2 * largest * second, so the comparison is in integers."""
+    return sum(m * (m + 2 * second) for m in reads) <= 2 * largest * second * top
 
 
 def denumerants(degrees, weights) -> list[int]:
@@ -152,23 +164,48 @@ def denumerants(degrees, weights) -> list[int]:
     + 1 interpreted steps.  Steps go up the table block by block, each
     block of _PIECE rows finished before the next, so the integers a step
     frees are reused at once and peak memory stays that of the plain
-    in-place loop.  The largest weight a_n is never filled: each count
-    read is the strided sum table[m] + table[m - a_n] + ...  Cost
-    O(n * top) additions plus the reads; a table past MAX_DENUMERANT_TABLE
-    raises CostLimitError before allocating.
+    in-place loop.  Cost O(n * top) additions plus the reads; a table past
+    MAX_DENUMERANT_TABLE raises CostLimitError before allocating.
+
+    The largest weight a_n is never filled.  An exponent vector of degree
+    m splits by its exponent j of a_n, so with T the table of the other
+    weights, count(m) = T[m] + T[m - a_n] + ..., one strided sum.  With
+    n >= 2 the second-largest weight s = a_{n-1} may be summed out the
+    same way: with T the table of a_0..a_{n-2}, splitting also by the
+    exponent k of s,
+
+        count(m) = sum over j <= m / a_n, k <= (m - j * a_n) / s
+                   of T[m - j * a_n - k * s],
+
+    and for each j the sum over k is one strided sum down from m - j * a_n
+    in steps of s, m / a_n + 1 of them in all.  That saves the top
+    additions of the fill of s and costs about m / a_n strided sums of
+    m^2 / (2 * a_n * s) entries in all, over every degree m read: once for
+    a degree read directly, at each rho + k * L, k = 0..n, for an
+    interpolated one.  So s is summed out when those reads add up to at
+    most top (_sum_out_pays), and filled otherwise.  Every strided sum
+    reads its entries _PIECE at a time, so a read copies no more pointers
+    at once than a fill step.
     """
     w = WeightTuple(weights)
     n, period = w.dim, lcm(*w)
 
-    def reach(degree):
-        return min(degree, degree % period + n * period)
+    def reads(degree):
+        if degree < 0:
+            return ()
+        x, rho = divmod(degree, period)
+        return (degree,) if x <= n else range(rho, rho + n * period + 1, period)
 
-    deepest = max((0, *degrees), key=reach)
-    top = reach(deepest)
+    wanted = [reads(degree) for degree in degrees]
+    every = [m for ms in wanted for m in ms]
+    top = max(every, default=0)
     if top >= MAX_DENUMERANT_TABLE:
+        deepest = next(d for d, ms in zip(degrees, wanted) if top in ms)
         raise CostLimitError(f"denumerant of degree {deepest} on {tuple(w)} needs "
                              f"{top + 1} table entries, over {MAX_DENUMERANT_TABLE}")
     smallest, *middle, largest = w
+    pays = n >= 2 and _sum_out_pays(every, top, middle[-1], largest)
+    second = middle.pop() if pays else None
     seed = min(smallest, top + 1)
     table = ([1] + [0] * (seed - 1)) * (top // seed + 1)
     del table[top + 1:]
@@ -183,13 +220,23 @@ def denumerants(degrees, weights) -> list[int]:
             for i in range(c, top + 1, step):
                 table[i:i + step] = map(add, table[i:i + step], table[i - c:i - c + step])
 
-    def count(degree):
-        if degree < 0:
-            return 0
-        x, rho = divmod(degree, period)
-        if x <= n:
-            return sum(table[degree::-largest])
-        diffs = [sum(table[m::-largest]) for m in range(rho, rho + n * period + 1, period)]
+    def column(m, c):
+        # table[m] + table[m - c] + ... + table[m % c], _PIECE entries a slice
+        span = _PIECE * c
+        if m < span:
+            return sum(table[m::-c])
+        return sum(sum(table[i:min(i + span, m + 1):c]) for i in range(m % c, m + 1, span))
+
+    def value(m):
+        if second is None:
+            return column(m, largest)
+        return sum(column(i, second) for i in range(m, -1, -largest))
+
+    def count(degree, ms):
+        diffs = [value(m) for m in ms]
+        if len(diffs) < 2:
+            return sum(diffs)
+        x = degree // period
         total, binomial = 0, 1
         for k in range(n + 1):
             total += binomial * diffs[0]
@@ -197,7 +244,7 @@ def denumerants(degrees, weights) -> list[int]:
             binomial = binomial * (x - k) // (k + 1)
         return total
 
-    return [count(degree) for degree in degrees]
+    return [count(degree, ms) for degree, ms in zip(degrees, wanted)]
 
 
 def denumerant(degree: int, weights) -> int:

@@ -23,7 +23,7 @@ from wpsdeg import (
     normalize,
     satisfies_degeneration_equation,
 )
-from wpsdeg.weights import CostLimitError, _cofactor_gcds
+from wpsdeg.weights import CostLimitError, _cofactor_gcds, _sum_out_pays
 
 
 def denumerant_table(top, weights):
@@ -36,6 +36,27 @@ def denumerant_table(top, weights):
 
 
 weight_lists = st.lists(st.integers(1, 125), min_size=2, max_size=6)
+
+# Weights up to 60 that divide 2520 = lcm(1..10): any tuple of them has an
+# lcm of at most 2520, so a degree up to (n+2) * lcm needs at most 17,640 entries.
+small_lcm_weights = [a for a in range(1, 61) if 2520 % a == 0]
+
+
+def force_route(patch, sum_out):
+    """Make denumerants sum out the second-largest weight always, or never."""
+    patch.setattr("wpsdeg.weights._sum_out_pays", lambda *args: sum_out)
+
+
+def spy_route(patch):
+    """Record each choice the unforced route rule makes; returns the list."""
+    picked = []
+
+    def rule(*args):
+        picked.append(_sum_out_pays(*args))
+        return picked[-1]
+
+    patch.setattr("wpsdeg.weights._sum_out_pays", rule)
+    return picked
 
 
 def fixpoint_normalize(weights):
@@ -204,6 +225,60 @@ class TestDenumerant:
         monkeypatch.setattr("wpsdeg.weights._PIECE", piece)
         self.test_matches_table_on_every_small_tuple(size, largest)
 
+    @pytest.mark.parametrize("sum_out", [True, False], ids=["sum-out", "table"])
+    @pytest.mark.parametrize("size,largest", [(2, 12), (3, 8), (4, 5)])
+    def test_both_routes_match_table_on_every_small_tuple(self, monkeypatch, sum_out,
+                                                          size, largest):
+        force_route(monkeypatch, sum_out)
+        self.test_matches_table_on_every_small_tuple(size, largest)
+
+    @pytest.mark.parametrize("sum_out", [True, False], ids=["sum-out", "table"])
+    @pytest.mark.parametrize("size,largest", [(2, 12), (3, 6), (4, 4)])
+    def test_both_routes_match_table_in_tiny_pieces(self, monkeypatch, sum_out,
+                                                    size, largest):
+        # Pieces of 2 entries split nearly every strided read, with a short
+        # last piece when the read has an odd number of entries.
+        force_route(monkeypatch, sum_out)
+        self.test_matches_table_in_tiny_pieces(monkeypatch, 2, size, largest)
+
+    @given(st.lists(st.sampled_from(small_lcm_weights), min_size=3, max_size=6),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_both_routes_match_table_on_random_tuples(self, entries, data):
+        w = tuple(sorted(entries))
+        n, period = len(w) - 1, lcm(*w)
+        degrees = data.draw(st.lists(st.integers(-1, (n + 2) * period), min_size=1,
+                                     max_size=4))
+        table = denumerant_table(max(degrees), w)
+        expected = [table[d] if d >= 0 else 0 for d in degrees]
+        for sum_out in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                force_route(patch, sum_out)
+                assert denumerants(degrees, w) == expected, (sum_out, degrees, w)
+
+    def test_both_routes_on_the_dimension_five_solutions(self, monkeypatch):
+        # The rule sums out on every tuple but the 9 whose reads of degree
+        # 10 * sum cost more than the fill they would save; either route
+        # gives the same counts on all 304.
+        calls = [((10 * sum(s), *s), tuple(s)) for s in enumerate_solutions(5, 200)]
+        picked = spy_route(monkeypatch)
+        unforced = [denumerants(degrees, w) for degrees, w in calls]
+        assert (picked.count(True), picked.count(False)) == (295, 9)
+        for sum_out in (True, False):
+            force_route(monkeypatch, sum_out)
+            assert [denumerants(degrees, w) for degrees, w in calls] == unforced, sum_out
+
+    def test_rule_keeps_the_table_where_the_reads_cost_more(self, monkeypatch):
+        # lcm 754,369, so top = d = 2 * 10**6; summed out, the reads would add
+        # about d^2 / (2 * 97 * 101) = 2 * 10**8 entries against 2 * 10**6
+        # fill additions, and take 11-13 s.
+        picked = spy_route(monkeypatch)
+        start = perf_counter()
+        counts = denumerants((2_000_000, 1, 7, 11, 97, 101), (1, 7, 11, 97, 101))
+        assert perf_counter() - start < 2.0
+        assert picked == [False]
+        assert counts == [883932589299684336, 1, 2, 3, 74, 81]
+
     def test_matches_table_on_the_dimension_five_solutions(self):
         # The range the dimension-5 moduli counts use: each weight's own
         # degree for Aut, and 10 * sum, tables of up to 7,200 entries; one
@@ -240,19 +315,35 @@ class TestDenumerant:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_is_that_of_the_plain_table(self):
-        # Whole residue classes as slices would copy up to `top` pointers and
-        # integers per step, about twice the table's own peak here.
-        def peak(fill, *args):
-            tracemalloc.start()
-            try:
-                fill(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def peak(fill, *args):
+        tracemalloc.start()
+        try:
+            fill(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
+    def test_peak_memory_is_that_of_the_plain_table(self, monkeypatch):
+        # Whole residue classes as slices would copy up to `top` pointers and
+        # integers per step, about twice the table's own peak here.  The rule
+        # sums out the 2 here; the forced table route fills it.
         w, degree = (1, 1, 1, 1, 2, 300007), 10**5
-        assert peak(denumerant, degree, w) <= 1.1 * peak(denumerant_table, degree, w)
+        plain = self.peak(denumerant_table, degree, w)
+        picked = spy_route(monkeypatch)
+        assert self.peak(denumerant, degree, w) <= 1.1 * plain
+        assert picked == [True]
+        force_route(monkeypatch, False)
+        assert self.peak(denumerant, degree, w) <= 1.1 * plain
+
+    def test_summed_out_reads_copy_a_piece_at_a_time(self, monkeypatch):
+        # Summed out, (1, 2, a_n) leaves a table of ones, 8 bytes an entry;
+        # one slice down the 2s would copy half of it again.
+        w, degree = (1, 2, 10**6 + 3), 3 * 10**5
+        picked = spy_route(monkeypatch)
+        assert self.peak(denumerant, degree, w) <= 1.1 * self.peak(lambda: [1] * (degree + 1))
+        assert picked == [True]
+        assert denumerant(degree, w) == degree // 2 + 1
 
     def test_closed_forms_at_huge_degree(self):
         assert denumerant(10**12, (1, 1, 1, 1)) == comb(10**12 + 3, 3)
