@@ -26,7 +26,6 @@ import sys
 from . import __version__, search
 from .mutation import Family, generate_tree, lift
 from .records import (
-    FIELD_NAMES,
     SolutionRecord,
     cell,
     json_value,
@@ -81,15 +80,15 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
     """Write the one text form of a result to args.out or stdout, return code.
 
     obj and rows hold raw values, encoded only when written: obj by
-    json_value and its records by to_json_obj, each row value by cell.  json
-    dumps obj.  csv writes header and rows when there is a header.  Otherwise
-    the notes come first, then text if given, else the rows as an aligned
-    table (table) or a markdown table (md, a '|' in a cell escaped), omitted
-    when empty.  A write that fails is a usage error.
+    json_value, handed to_json_obj for its records, each row value by cell.
+    json dumps obj.  csv writes header and rows when there is a header.
+    Otherwise the notes come first, then text if given, else the rows as an
+    aligned table (table) or a markdown table (md, a '|' in a cell escaped),
+    omitted when empty.  A write that fails is a usage error.
     """
     fmt = args.format
     if fmt == "json":
-        text = json.dumps(json_value(obj), indent=2, ensure_ascii=False, default=to_json_obj)
+        text = json.dumps(json_value(obj, to_json_obj), indent=2, ensure_ascii=False)
     elif fmt == "csv" and header:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -127,7 +126,7 @@ def _output(args, code: int, obj, header=(), rows=(), notes=(), text=None) -> in
 def _record_table(records: list[SolutionRecord], fmt: str) -> tuple[list[str], list[list[str]]]:
     """Header and rows of solution records: the flat schema for csv, display otherwise."""
     if fmt == "csv":
-        return FIELD_NAMES, [to_csv_row(r) for r in records]
+        return list(SolutionRecord._fields), [to_csv_row(r) for r in records]
     header = ["weights", "sum", "product", "volume", "classification",
               "rigid_points", "verdict"]
     rows = []

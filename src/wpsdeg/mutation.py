@@ -14,8 +14,7 @@ the decomposition (alpha^2, beta^2, 2*gamma^2) of the sum family.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from math import isqrt
 
@@ -41,51 +40,44 @@ def _is_square(x: int) -> bool:
     return x >= 0 and isqrt(x) ** 2 == x
 
 
-@dataclass(frozen=True)
-class MarkovTriple:
+class MarkovTriple(namedtuple("MarkovTriple", "p q r")):
     """Positive (p, q, r) with 3pqr = p^2 + q^2 + r^2, slot order preserved."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.p, self.q, self.r) < 1:
-            raise ValueError(f"entries must be positive: {self.as_tuple()}")
-        p, q, r = self.p, self.q, self.r
+    def __new__(cls, p: int, q: int, r: int):
+        if min(p, q, r) < 1:
+            raise ValueError(f"entries must be positive: {(p, q, r)}")
         if 3 * p * q * r != p * p + q * q + r * r:
-            raise ValueError(f"{self.as_tuple()} fails 3pqr = p^2 + q^2 + r^2")
+            raise ValueError(f"{(p, q, r)} fails 3pqr = p^2 + q^2 + r^2")
+        return tuple.__new__(cls, (p, q, r))
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
+        return tuple(self)
 
     def canonical(self) -> tuple[int, int, int]:
-        return tuple(sorted(self.as_tuple()))
+        return tuple(sorted(self))
 
 
-@dataclass(frozen=True)
-class SumQuadruple:
+class SumQuadruple(namedtuple("SumQuadruple", "a b c d")):
     """(a, b, c, d) with d = a + b + c and 8abc = d^2, slot order preserved."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __new__(cls, a: int, b: int, c: int, d: int):
         if min(a, b, c, d) < 1:
-            raise ValueError(f"entries must be positive: {self.as_tuple()}")
+            raise ValueError(f"entries must be positive: {(a, b, c, d)}")
         if d != a + b + c:
-            raise ValueError(f"{self.as_tuple()}: last entry must be the sum of the others")
+            raise ValueError(f"{(a, b, c, d)}: last entry must be the sum of the others")
         if 8 * a * b * c != d * d:
-            raise ValueError(f"{self.as_tuple()} fails 8abc = d^2")
+            raise ValueError(f"{(a, b, c, d)} fails 8abc = d^2")
+        return tuple.__new__(cls, (a, b, c, d))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def canonical(self) -> tuple[int, int, int, int]:
-        return tuple(sorted(self.as_tuple()))
+        return tuple(sorted(self))
 
 
 def markov_mutate(triple: MarkovTriple, slot: int) -> MarkovTriple:
@@ -98,7 +90,7 @@ def markov_mutate(triple: MarkovTriple, slot: int) -> MarkovTriple:
     """
     if slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1 or 2")
-    entries = list(triple.as_tuple())
+    entries = list(triple)
     others = [entries[i] for i in range(3) if i != slot]
     entries[slot] = 3 * others[0] * others[1] - entries[slot]
     return MarkovTriple(*entries)
@@ -119,7 +111,7 @@ def sum_mutate(quad: SumQuadruple, fixed: tuple[int, int]) -> SumQuadruple:
     if i == j or not {i, j} <= {0, 1, 2}:
         raise ValueError("fixed must be two distinct positions among 0, 1, 2")
     k = ({0, 1, 2} - {i, j}).pop()
-    entries = list(quad.as_tuple())
+    entries = list(quad)
     a, b = entries[i], entries[j]
     entries[k] = 8 * a * b - a - b - quad.d
     entries[3] = 8 * a * b - quad.d
@@ -197,21 +189,15 @@ def lift(weights) -> WeightTuple:
     return lifted
 
 
-@dataclass(frozen=True)
-class MutationEdge:
+class MutationEdge(namedtuple("MutationEdge", "src dst fixed")):
     """Undirected edge between canonical nodes; fixed holds the preserved
     entry values of the mutation (sorted)."""
 
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
-    fixed: tuple[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MutationGraph:
-    family: Family
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[MutationEdge, ...]
+class MutationGraph(namedtuple("MutationGraph", "family nodes edges")):
+    __slots__ = ()
 
     @property
     def cycle_rank(self) -> int:
@@ -274,8 +260,4 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
                 queue.append(neighbor)
             lo, hi = min(here, there), max(here, there)
             edges.add(MutationEdge(lo, hi, tuple(sorted(entries[i] for i in others))))
-    return MutationGraph(
-        family,
-        tuple(sorted(seen)),
-        tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.fixed))),
-    )
+    return MutationGraph(family, tuple(sorted(seen)), tuple(sorted(edges)))

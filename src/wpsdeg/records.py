@@ -1,17 +1,20 @@
 """Solution records, and the one rule for writing any output value.
 
 One flat record per weighted projective space, shared by every output
-format.  json_value and cell are the only encoders of the package: every
-subcommand writes its JSON through json_value and its csv, table and md
-cells through cell.  Integers become decimal strings, in JSON too, so that
-consumers with 53-bit number types cannot corrupt large products; None is
-null or an empty cell.  A cell joins a tuple's integers with ',' and its
-notations with '|'; the csv module quotes per RFC 4180.
+format.  Like every record class of the package it is a named tuple: its
+fields are read-only and it compares, hashes and iterates as the plain tuple
+of its fields.  json_value and cell are the only encoders of the package:
+every subcommand writes its JSON through json_value, which hands each
+SolutionRecord it meets to the record encoder it is given (to_json_obj), and
+its csv, table and md cells through cell.  Integers become decimal strings,
+in JSON too, so that consumers with 53-bit number types cannot corrupt large
+products; None is null or an empty cell.  A cell joins a tuple's integers
+with ',' and its notations with '|'; the csv module quotes per RFC 4180.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .singular import smoothability_report
 from .weights import (
@@ -22,20 +25,13 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    weights: tuple[int, ...]
-    sum: int
-    product: int
-    volume_num: int
-    volume_den: int
-    classification: str | None
-    rigid_points: tuple[str, ...]
-    verdict_text: str
-    moduli_dim: int | None = None
+class SolutionRecord(namedtuple("SolutionRecord", "weights sum product volume_num volume_den "
+                                "classification rigid_points verdict_text moduli_dim",
+                                defaults=(None,))):
+    """weights and rigid_points (notations) are tuples, classification and
+    moduli_dim may be None, every other field an int or a str."""
 
-
-FIELD_NAMES = [f.name for f in fields(SolutionRecord)]
+    __slots__ = ()
 
 
 def record_for_solution(weights, degree: int | None = None,
@@ -71,14 +67,17 @@ def record_for_non_solution(weights) -> SolutionRecord:
                           volume.denominator, None, (), "not a solution")
 
 
-def json_value(value):
-    """value as JSON data: ints (not bools) as decimal strings, tuples as lists."""
+def json_value(value, encode_record):
+    """value as JSON data: ints (not bools) as decimal strings, records by
+    encode_record, other tuples as lists."""
     if isinstance(value, int):
         return value if isinstance(value, bool) else str(value)
     if isinstance(value, dict):
-        return {key: json_value(v) for key, v in value.items()}
+        return {key: json_value(v, encode_record) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [json_value(v) for v in value]
+        if isinstance(value, SolutionRecord):
+            return encode_record(value)
+        return [json_value(v, encode_record) for v in value]
     return value
 
 
@@ -95,11 +94,11 @@ def cell(value) -> str:
 
 def to_json_obj(record: SolutionRecord) -> dict:
     """JSON-ready dict in field order, integers as strings, no None moduli_dim."""
-    obj = {name: json_value(getattr(record, name)) for name in FIELD_NAMES}
+    obj = {name: json_value(value, to_json_obj) for name, value in zip(record._fields, record)}
     if record.moduli_dim is None:
         del obj["moduli_dim"]
     return obj
 
 
 def to_csv_row(record: SolutionRecord) -> list[str]:
-    return [cell(getattr(record, name)) for name in FIELD_NAMES]
+    return list(map(cell, record))

@@ -17,9 +17,8 @@ sits exactly at age 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from math import gcd
 
 from .mutation import Classification, classify_solution
@@ -42,18 +41,16 @@ class Verdict(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CyclicQuotient:
+class CyclicQuotient(namedtuple("CyclicQuotient", "order weights")):
     """Germ 1/r(w_1, ..., w_k): mu_r acting with the given weight residues.
 
     Residues are stored reduced mod r, sorted, and must all be nonzero (a
     zero residue is a fixed coordinate direction, not transverse data).
     """
 
-    order: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, order: int, weights):
+    def __new__(cls, order: int, weights):
         if order < 2:
             raise ValueError("group order must be at least 2")
         residues = tuple(sorted(w % order for w in weights))
@@ -61,13 +58,12 @@ class CyclicQuotient:
             raise ValueError("need at least one weight")
         if residues[0] == 0:
             raise ValueError(f"zero residue mod {order} in {tuple(weights)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "weights", residues)
+        return tuple.__new__(cls, (order, residues))
 
     def notation(self) -> str:
         return f"1/{self.order}({','.join(str(w) for w in self.weights)})"
 
-    @cached_property
+    @property
     def verdict(self) -> Verdict:
         return reid_tai_classify(self)
 
@@ -113,8 +109,7 @@ def reid_tai_classify(germ: CyclicQuotient) -> Verdict:
     return Verdict.STRICTLY_CANONICAL if canonical else Verdict.TERMINAL
 
 
-@dataclass(frozen=True)
-class SingularStratum:
+class SingularStratum(namedtuple("SingularStratum", "indices order transverse maximal")):
     """Closed singular stratum: the coordinate subspace spanned by `indices`.
 
     order is the stabilizer order m of a generic point; transverse is the
@@ -122,10 +117,7 @@ class SingularStratum:
     contained in the closure of a larger singular stratum.
     """
 
-    indices: tuple[int, ...]
-    order: int
-    transverse: CyclicQuotient
-    maximal: bool
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -205,8 +197,7 @@ _FAMILY_VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class SmoothabilityReport:
+class SmoothabilityReport(namedtuple("SmoothabilityReport", "weights classification rigid_points")):
     """One well-formed solution with its analysis, computed once.
 
     classification is None outside dimension 3, where the two mutation
@@ -218,17 +209,17 @@ class SmoothabilityReport:
     the conflict is checked on construction rather than assumed.
     """
 
-    weights: WeightTuple
-    classification: Classification | None
-    rigid_points: tuple[SingularStratum, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.classification in _FAMILY_VERDICTS and self.rigid_points:
+    def __new__(cls, weights: WeightTuple, classification: Classification | None,
+                rigid_points: tuple[SingularStratum, ...]):
+        if classification in _FAMILY_VERDICTS and rigid_points:
             raise RuntimeError(
-                f"{tuple(self.weights)} classifies as {self.classification} yet has rigid "
-                f"points {[s.transverse.notation() for s in self.rigid_points]}; mutation "
+                f"{tuple(weights)} classifies as {classification} yet has rigid "
+                f"points {[s.transverse.notation() for s in rigid_points]}; mutation "
                 "families are smoothable, so one of the two computations is wrong"
             )
+        return tuple.__new__(cls, (weights, classification, rigid_points))
 
     @property
     def verdict_text(self) -> str:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from conftest import from_csv_row, from_json_obj
 from wpsdeg import (
     SolutionRecord,
+    WeightTuple,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,
     to_json_obj,
 )
+from wpsdeg.records import json_value
 
 
 def test_solution_record_fields():
@@ -71,6 +73,16 @@ def test_json_all_integers_are_strings():
     assert obj["product"] == "85184"
     assert obj["volume_num"] == "-64"
     assert isinstance(obj["moduli_dim"], str)
+
+
+def test_json_value_hands_records_to_the_encoder():
+    record = record_for_solution((1, 4, 16, 27), degree=5)
+    assert json_value({"outer": [record]}, to_json_obj) == {"outer": [to_json_obj(record)]}
+    seen = []
+    value = {"record": record, "pair": (1, 2), "weights": WeightTuple((3, 1, 2))}
+    assert json_value(value, seen.append) == {"record": None, "pair": ["1", "2"],
+                                             "weights": ["1", "2", "3"]}
+    assert seen == [record]
 
 
 def test_json_round_trip_examples():

@@ -156,7 +156,7 @@ class TestReidTai:
         with pytest.raises(ValueError, match=r"1/14\(1,2,11\): no age below 1"):
             reid_tai_classify(CyclicQuotient(14, (1, 2, 11)))
 
-    def test_verdict_property_is_cached_value(self):
+    def test_verdict_property_is_reid_tai_classify(self):
         q = CyclicQuotient(27, (1, 4, 16))
         assert q.verdict is reid_tai_classify(q)
 
