@@ -52,8 +52,8 @@ class MarkovTriple(namedtuple("MarkovTriple", "p q r")):
             raise ValueError(f"{(p, q, r)} fails 3pqr = p^2 + q^2 + r^2")
         return tuple.__new__(cls, (p, q, r))
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
+    # _replace and copy.replace build through _make, so they run the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def canonical(self) -> tuple[int, int, int]:
         return tuple(sorted(self))
@@ -73,8 +73,7 @@ class SumQuadruple(namedtuple("SumQuadruple", "a b c d")):
             raise ValueError(f"{(a, b, c, d)} fails 8abc = d^2")
         return tuple.__new__(cls, (a, b, c, d))
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def canonical(self) -> tuple[int, int, int, int]:
         return tuple(sorted(self))
@@ -169,7 +168,7 @@ def sum_type_decompose(quad: SumQuadruple) -> tuple[int, int, int]:
         alpha, beta = sorted(isqrt(x) for x in squares)
         if 4 * alpha * beta * gamma == alpha * alpha + beta * beta + 2 * gamma * gamma:
             return (alpha, beta, gamma)
-    raise ValueError(f"{quad.as_tuple()} admits no (alpha^2, beta^2, 2 gamma^2) decomposition")
+    raise ValueError(f"{tuple(quad)} admits no (alpha^2, beta^2, 2 gamma^2) decomposition")
 
 
 def lift(weights) -> WeightTuple:
@@ -247,7 +246,7 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        here, entries = node.canonical(), node.as_tuple()
+        here = node.canonical()
         # every mutation changes one of the first three slots and fixes the other two
         for slot, others in enumerate(((1, 2), (0, 2), (0, 1))):
             # roots multiply to q^2 + r^2 or (a + b)^2 > 0, so a valid node never raises
@@ -259,5 +258,5 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
                 seen.add(there)
                 queue.append(neighbor)
             lo, hi = min(here, there), max(here, there)
-            edges.add(MutationEdge(lo, hi, tuple(sorted(entries[i] for i in others))))
+            edges.add(MutationEdge(lo, hi, tuple(sorted(node[i] for i in others))))
     return MutationGraph(family, tuple(sorted(seen)), tuple(sorted(edges)))

@@ -22,7 +22,7 @@ from enum import Enum
 from math import gcd
 
 from .mutation import Classification, classify_solution
-from .weights import (CostLimitError, WeightTuple, _cofactor_gcds, is_well_formed,
+from .weights import (CostLimitError, WeightTuple, _cofactor_gcds, _require_well_formed,
                       satisfies_degeneration_equation)
 
 # Most group elements reid_tai_classify walks in search of an age below 1.
@@ -59,6 +59,9 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "order weights")):
         if residues[0] == 0:
             raise ValueError(f"zero residue mod {order} in {tuple(weights)}")
         return tuple.__new__(cls, (order, residues))
+
+    # _replace and copy.replace build through _make, so they run the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def notation(self) -> str:
         return f"1/{self.order}({','.join(str(w) for w in self.weights)})"
@@ -144,8 +147,7 @@ def singular_strata(weights) -> list[SingularStratum]:
     Sorted by ascending stabilizer order; orders are distinct.
     """
     w = WeightTuple(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
+    _require_well_formed(w, "singular_strata")
     orders: set[int] = set()
     for a in w:
         orders |= {a, *(gcd(a, m) for m in orders)}
@@ -183,8 +185,7 @@ def isolated_rigid_points(weights) -> list[SingularStratum]:
     w = WeightTuple(weights)
     if w.dim < 3:
         raise ValueError("rigidity of quotient points needs ambient dimension >= 3")
-    if not is_well_formed(w):
-        raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
+    _require_well_formed(w, "isolated_rigid_points")
     product = w.product
     return [SingularStratum((i,), a, CyclicQuotient(a, w[:i] + w[i + 1:]), True)
             for i, a in enumerate(w) if a > 1 and gcd(a, product // a) == 1]
@@ -221,6 +222,8 @@ class SmoothabilityReport(namedtuple("SmoothabilityReport", "weights classificat
             )
         return tuple.__new__(cls, (weights, classification, rigid_points))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def verdict_text(self) -> str:
         if self.classification in _FAMILY_VERDICTS:
@@ -231,8 +234,7 @@ class SmoothabilityReport(namedtuple("SmoothabilityReport", "weights classificat
 def smoothability_report(weights) -> SmoothabilityReport:
     """Validate a solution tuple and analyse it: family and rigid points."""
     w = WeightTuple(weights)
-    if not is_well_formed(w):
-        raise ValueError(f"{tuple(w)} is not well-formed; normalize first")
+    _require_well_formed(w, "smoothability_report")
     if not satisfies_degeneration_equation(w):
         raise ValueError(f"{tuple(w)} is not a degeneration solution")
     return SmoothabilityReport(

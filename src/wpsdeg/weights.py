@@ -254,7 +254,8 @@ def denumerant(degree: int, weights) -> int:
 
 def _require_well_formed(w: WeightTuple, caller: str) -> None:
     if not is_well_formed(w):
-        raise ValueError(f"{caller} requires a well-formed tuple, got {tuple(w)}")
+        raise ValueError(f"{caller} requires a well-formed tuple: {tuple(w)} is not well-formed; "
+                         "normalize first")
 
 
 def aut_dimension(weights) -> int:

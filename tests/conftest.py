@@ -43,7 +43,7 @@ def brute_denumerant(degree: int, weights) -> int:
 
 def p2_type_tuple(triple: MarkovTriple) -> WeightTuple:
     """The solution (p^2, q^2, r^2, pqr) attached to a Markov-type triple."""
-    p, q, r = triple.as_tuple()
+    p, q, r = triple
     out = WeightTuple((p * p, q * q, r * r, p * q * r))
     assert satisfies_degeneration_equation(out)
     return out

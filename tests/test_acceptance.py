@@ -162,7 +162,7 @@ def test_criterion_08_mutation_soundness():
         slot = rng.randrange(3)
         mutated = markov_mutate(node, slot)  # constructor checks the relation
         if markov_mutate(mutated, slot) != node:
-            failures.append(("markov involution", node.as_tuple(), slot))
+            failures.append(("markov involution", tuple(node), slot))
         applications += 1
         node = mutated
 
@@ -173,12 +173,12 @@ def test_criterion_08_mutation_soundness():
         i, j = rng.sample(range(3), 2)
         mutated = sum_mutate(quad, (i, j))  # constructor checks both relations
         if sum_mutate(mutated, (i, j)) != quad:
-            failures.append(("sum involution", quad.as_tuple(), (i, j)))
-        entries = quad.as_tuple()
+            failures.append(("sum involution", tuple(quad), (i, j)))
+        entries = tuple(quad)
         a, b = entries[i], entries[j]
         c = entries[({0, 1, 2} - {i, j}).pop()]
         if (a + b) * quad.d != c * mutated.d:
-            failures.append(("edge identity", quad.as_tuple(), (i, j)))
+            failures.append(("edge identity", tuple(quad), (i, j)))
         applications += 1
         quad = mutated
 

@@ -52,11 +52,11 @@ class TestMarkovTriple:
             MarkovTriple(0, 1, 1)
 
     def test_root_mutation(self):
-        assert markov_mutate(MarkovTriple(1, 1, 1), 2).as_tuple() == (1, 1, 2)
+        assert tuple(markov_mutate(MarkovTriple(1, 1, 1), 2)) == (1, 1, 2)
 
     def test_slot_zero_keeps_raw_order(self):
         out = markov_mutate(MarkovTriple(1, 1, 2), 0)
-        assert out.as_tuple() == (5, 1, 2)
+        assert tuple(out) == (5, 1, 2)
         assert out.canonical() == (1, 2, 5)
 
     def test_invalid_slot(self):
@@ -110,7 +110,7 @@ class TestSumQuadruple:
     def test_cross_family_identity(self, seed, steps, fixed):
         node = random_sum_walk(seed, steps)
         mutated = sum_mutate(node, fixed)
-        entries = node.as_tuple()
+        entries = tuple(node)
         a, b = entries[fixed[0]], entries[fixed[1]]
         k = ({0, 1, 2} - set(fixed)).pop()
         c = entries[k]
@@ -301,7 +301,7 @@ class TestGenerateTree:
         assert len(graph.edges) > 20 and max(map(max, graph.nodes)) > 10 ** 9
         for edge in graph.edges:
             src = build(*edge.src)
-            entries = src.as_tuple()
+            entries = tuple(src)
             slots = [k for k in range(3)
                      if tuple(sorted(entries[i] for i in range(3) if i != k)) == edge.fixed]
             assert slots, edge

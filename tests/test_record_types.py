@@ -4,10 +4,13 @@ Each record class subclasses a collections.namedtuple and declares
 __slots__ = (): its fields are read-only, it takes no new attributes, equal
 values hash equal, and its repr names every field.  It also equals the plain
 tuple of its fields, which frozen dataclasses did not.  Every constructor
-check keeps its error type and its exact message.  Importing the CLI pulls
-in neither dataclasses nor inspect.
+check keeps its error type and its exact message, whichever way in builds
+the record: the constructor, _make, _replace, copy.replace, copy.copy or
+pickle.  Importing the CLI pulls in neither dataclasses nor inspect.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -94,11 +97,64 @@ def _family_with_rigid_point():
     (_family_with_rigid_point, RuntimeError,
      "(1, 4, 10, 25) classifies as P2Type yet has rigid points ['1/27(1,4,16)']; mutation "
      "families are smoothable, so one of the two computations is wrong"),
+    # _replace builds through _make, so both run the constructor's checks.
+    pytest.param(lambda: MarkovTriple._make((1, 1, 3)), ValueError,
+                 "(1, 1, 3) fails 3pqr = p^2 + q^2 + r^2", id="MarkovTriple._make"),
+    pytest.param(lambda: MarkovTriple(1, 1, 1)._replace(r=3), ValueError,
+                 "(1, 1, 3) fails 3pqr = p^2 + q^2 + r^2", id="MarkovTriple._replace"),
+    pytest.param(lambda: SumQuadruple(1, 1, 2, 4)._replace(d=5), ValueError,
+                 "(1, 1, 2, 5): last entry must be the sum of the others",
+                 id="SumQuadruple._replace"),
+    pytest.param(lambda: CyclicQuotient(5, (1, 2))._replace(order=2), ValueError,
+                 "zero residue mod 2 in (1, 2)", id="CyclicQuotient._replace"),
+    pytest.param(lambda: smoothability_report((1, 4, 16, 27))._replace(
+                     classification=Classification.P2_TYPE), RuntimeError,
+                 "(1, 4, 16, 27) classifies as P2Type yet has rigid points ['1/27(1,4,16)']; "
+                 "mutation families are smoothable, so one of the two computations is wrong",
+                 id="SmoothabilityReport._replace"),
 ])
 def test_constructor_check_keeps_its_message(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_runs_the_constructor_check():
+    with pytest.raises(ValueError) as info:
+        copy.replace(MarkovTriple(1, 1, 1), r=3)
+    assert str(info.value) == "(1, 1, 3) fails 3pqr = p^2 + q^2 + r^2"
+
+
+CHECKED = [
+    lambda: MarkovTriple(1, 1, 2),
+    lambda: SumQuadruple(1, 1, 2, 4),
+    lambda: CyclicQuotient(27, [28, 16, 4]),
+    lambda: smoothability_report((1, 4, 16, 27)),
+]
+
+
+@pytest.mark.parametrize("make", CHECKED, ids=["MarkovTriple", "SumQuadruple", "CyclicQuotient",
+                                               "SmoothabilityReport"])
+def test_every_way_in_rebuilds_a_valid_record(make):
+    record = make()
+    for rebuilt in (type(record)._make(record), record._replace(), copy.copy(record),
+                    pickle.loads(pickle.dumps(record))):
+        assert type(rebuilt) is type(record) and rebuilt == record
+
+
+@pytest.mark.parametrize("cls,fields,message", [
+    (MarkovTriple, (1, 1, 3), "(1, 1, 3) fails 3pqr = p^2 + q^2 + r^2"),
+    (SumQuadruple, (1, 1, 2, 5), "(1, 1, 2, 5): last entry must be the sum of the others"),
+    (CyclicQuotient, (4, (1, 8)), "zero residue mod 4 in (1, 8)"),
+], ids=["MarkovTriple", "SumQuadruple", "CyclicQuotient"])
+def test_copy_and_pickle_go_through_the_constructor(cls, fields, message):
+    # tuple.__new__ skips the checks; copying or unpickling the result does not.
+    invalid = tuple.__new__(cls, fields)
+    for rebuild in (copy.copy, lambda record: pickle.loads(pickle.dumps(record))):
+        with pytest.raises(ValueError) as info:
+            rebuild(invalid)
+        assert str(info.value) == message
 
 
 # The stdlib modules the package imports.  Importing them first makes the

@@ -352,6 +352,14 @@ class TestTreeCompleteness:
                   if s.classification is not Classification.SPORADIC}
         assert family == p2_type | sum_type
 
+    def test_dimension_two_at_the_search_limit_is_the_markov_squares(self):
+        # Hacking-Prokhorov: the degenerations of P^2 are P(p^2, q^2, r^2) for the
+        # Markov triples; the tree grows them by mutation, sharing no code with the search.
+        squares = sorted(tuple(x * x for x in node)
+                         for node in generate_tree("markov", isqrt(MAX_SEARCH_BOUND)).nodes)
+        assert len(squares) == 9
+        assert [tuple(w) for w in enumerate_solutions(2, MAX_SEARCH_BOUND)] == squares
+
 
 TEN_THOUSAND = 10_000
 

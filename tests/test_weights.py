@@ -402,6 +402,23 @@ class TestDenumerantAgainstPopoviciu:
             expected = sum(popoviciu(degree - k * c, a, b) for k in range(degree // c + 1))
             assert denumerant(degree, (a, b, c)) == expected, (degree, a, b, c)
 
+    @pytest.mark.parametrize("degree,weights,sum_out", [
+        pytest.param(2 * 10**6 + 7, (97, 101, 103), True, marks=pytest.mark.slow,
+                     id="97,101,103-sum-out"),
+        pytest.param(2 * 10**6 + 7, (97, 101, 103), False, id="97,101,103-table"),
+        pytest.param(5 * 10**6, (1, 2999, 3001), True, id="1,2999,3001-sum-out"),
+        pytest.param(5 * 10**6, (1, 2999, 3001), False, id="1,2999,3001-table"),
+        pytest.param(3 * 10**6 + 1, (2, 9967, 9973), True, id="2,9967,9973-sum-out"),
+        pytest.param(3 * 10**6 + 1, (2, 9967, 9973), False, id="2,9967,9973-table"),
+    ])
+    def test_both_routes_at_table_scale(self, monkeypatch, degree, weights, sum_out):
+        # At most n = 2 periods of the lcm: the whole count comes from the table.
+        a, b, c = weights
+        assert degree // lcm(a, b, c) <= 2
+        expected = sum(popoviciu(degree - k * c, a, b) for k in range(degree // c + 1))
+        force_route(monkeypatch, sum_out)
+        assert denumerants((degree,), weights) == [expected]
+
     def test_formula_matches_brute_force_on_small_degrees(self):
         for a, b in combinations_with_replacement(range(1, 9), 2):
             for degree in range(40):
