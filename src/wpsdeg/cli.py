@@ -14,8 +14,6 @@ search past search.MAX_SEARCH_BOUND or search.MAX_SEARCH_TUPLES, or a tree
 past mutation.MAX_TREE_WEIGHT.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import functools
@@ -47,27 +45,21 @@ from .weights import (
 FORMATS = ("json", "csv", "table", "dot", "md")
 
 
-def _parse_weights(text: str) -> tuple[int, ...]:
+def _parse_weights(text: str) -> WeightTuple:
     try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"weights must be comma-separated integers: {text!r}")
-    if len(entries) < 2:
-        raise argparse.ArgumentTypeError("need at least two weights")
-    if any(a < 1 for a in entries):
-        raise argparse.ArgumentTypeError(f"weights must be positive: {text!r}")
-    return entries
+        return WeightTuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid weights {text!r}: {exc}")
 
 
 def _fmt(weights) -> str:
     return "(" + cell(weights) + ")"
 
 
-def _normalized(weights) -> tuple[WeightTuple, list[str]]:
+def _normalized(weights: WeightTuple) -> tuple[WeightTuple, list[str]]:
     """The well-formed model of the weights, plus a note when it differs."""
-    w = WeightTuple(weights)
-    wn = normalize(w)
-    return wn, [] if tuple(wn) == tuple(w) else [f"normalized to {_fmt(wn)}"]
+    wn = normalize(weights)
+    return wn, [] if wn == weights else [f"normalized to {_fmt(wn)}"]
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -247,7 +239,7 @@ def cmd_moduli_dim(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    w = WeightTuple(args.weights)
+    w = args.weights
     if not satisfies_degeneration_equation(w):
         message = f"{_fmt(w)} is not a dimension-{w.dim} solution"
         return _output(args, 1, {"weights": w, "error": message}, text=message)
@@ -274,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all well-formed solutions up to a bound")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=int,
                    help="also report moduli dimensions for divisors of this degree")
-    p.add_argument("--q", type=int, default=None, help="pairing denominator (default dim+1)")
+    p.add_argument("--q", type=int, help="pairing denominator (default dim+1)")
 
     p = sub.add_parser("classify", help="family membership and smoothability of one tuple")
     p.add_argument("weights", type=_parse_weights)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--q", type=int)
 
     p = sub.add_parser("singular", help="singular strata with transverse types and verdicts")
     p.add_argument("weights", type=_parse_weights)
@@ -296,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli-dim", help="moduli component dimension for divisors")
     p.add_argument("--weights", type=_parse_weights, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=int)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 

@@ -12,8 +12,6 @@ solution by family membership, lifts solutions up one dimension, and exposes
 the decomposition (alpha^2, beta^2, 2*gamma^2) of the sum family.
 """
 
-from __future__ import annotations
-
 from collections import deque, namedtuple
 from enum import Enum
 from math import isqrt

@@ -12,8 +12,6 @@ products; None is null or an empty cell.  A cell joins a tuple's integers
 with ',' and its notations with '|'; the csv module quotes per RFC 4180.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .singular import smoothability_report

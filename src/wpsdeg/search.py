@@ -25,8 +25,6 @@ S^2 - 4P, taken in the same loop, decides the pick (`_raw_solutions` gives
 the range checks).
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from math import comb, isqrt
 

@@ -15,8 +15,6 @@ against the group order, never as floats, because the canonical/klt boundary
 sits exactly at age 1.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 from math import gcd
@@ -53,11 +51,12 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "order weights")):
     def __new__(cls, order: int, weights):
         if order < 2:
             raise ValueError("group order must be at least 2")
+        weights = tuple(weights)
         residues = tuple(sorted(w % order for w in weights))
         if not residues:
             raise ValueError("need at least one weight")
         if residues[0] == 0:
-            raise ValueError(f"zero residue mod {order} in {tuple(weights)}")
+            raise ValueError(f"zero residue mod {order} in {weights}")
         return tuple.__new__(cls, (order, residues))
 
     # _replace and copy.replace build through _make, so they run the checks too

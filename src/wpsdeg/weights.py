@@ -13,8 +13,6 @@ products of weights) overflow 64-bit integers at modest bounds and sit exactly
 on equality boundaries.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -143,7 +141,7 @@ def denumerants(degrees, weights) -> list[int]:
     """Number of monomials of each weighted degree in `degrees`, n+1 variables.
 
     Counts exponent vectors m >= 0 with sum m_i * a_i = d for every d in the
-    sequence `degrees`, in its order, from one coin-counting table; a
+    iterable `degrees`, in its order, from one coin-counting table; a
     negative degree counts zero (empty linear system).  With L = lcm(a) and
     d = rho + x * L, 0 <= rho < L, the count is a polynomial f(x) of degree
     <= n for every d >= 0 (1 / prod(1 - t^a_i) is proper with poles at L-th
@@ -187,6 +185,7 @@ def denumerants(degrees, weights) -> list[int]:
     reads its entries _PIECE at a time, so a read copies no more pointers
     at once than a fill step.
     """
+    degrees = tuple(degrees)
     w = WeightTuple(weights)
     n, period = w.dim, lcm(*w)
 

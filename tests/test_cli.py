@@ -13,7 +13,8 @@ import pytest
 
 import wpsdeg
 from conftest import from_json_obj
-from wpsdeg.cli import main
+from wpsdeg import WeightTuple
+from wpsdeg.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -226,6 +227,22 @@ class TestClassify:
         assert run_usage_error(capsys, "classify", "1,x,3") == 2
         assert run_usage_error(capsys, "classify", "4") == 2
         assert run_usage_error(capsys, "classify", "1,-2,3") == 2
+
+    # A weight list is parsed straight into a WeightTuple, whose own check
+    # refuses a bad list with its reason.
+    @pytest.mark.parametrize("text,reason", [
+        ("1,x,3", "invalid literal for int() with base 10: 'x'"),
+        ("4", "need at least two weights"),
+        ("1,-2,3", "weights must be positive integers, got -2"),
+    ])
+    def test_malformed_weights_name_text_and_reason(self, capsys, text, reason):
+        with pytest.raises(SystemExit):
+            main(["classify", text])
+        assert f"invalid weights {text!r}: {reason}" in capsys.readouterr().err
+
+    def test_weights_parse_to_a_weight_tuple(self):
+        weights = build_parser().parse_args(["lift", "4,1,2"]).weights
+        assert type(weights) is WeightTuple and weights == (1, 2, 4)
 
     # The three dimension-3 solutions to 10^4 with two rigid points, whose
     # notations are joined with '|' in one cell.

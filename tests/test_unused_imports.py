@@ -28,8 +28,6 @@ PROBE_ONLY = {
 def _imports_and_loads(path: Path) -> tuple[set[str], set[str]]:
     imported, loaded = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

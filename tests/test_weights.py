@@ -305,6 +305,12 @@ class TestDenumerant:
         assert denumerants((), (3, 5)) == []
         assert denumerants((-1, -7), (3, 5)) == [0, 0]
 
+    def test_degrees_read_once(self):
+        # An iterator of degrees is read once: inside the table and past it.
+        assert denumerants(iter([5, 10]), (1, 2)) == [3, 6]
+        with pytest.raises(CostLimitError, match="degree 10000000 on"):
+            denumerants(iter([10**7]), (1, 10**7 + 1))
+
     def test_smallest_weight_past_the_table(self):
         # The seed repeats one period of the smallest weight; past the table
         # that period is cut to the table, not allocated in full.
