@@ -42,7 +42,7 @@ from .weights import (
     satisfies_degeneration_equation,
 )
 
-FORMATS = ("json", "csv", "table", "dot", "md")
+FORMATS = ("json", "csv", "table", "md")
 
 
 def _parse_weights(text: str) -> WeightTuple:
@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--q", type=int)
 
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=FORMATS, default="table")
+    for name, p in sub.choices.items():
+        formats = FORMATS + ("dot",) if name == "tree" else FORMATS
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
@@ -319,8 +320,6 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "dot" and args.command != "tree":
-        parser.error("format dot is only valid for the tree subcommand")
     for name in _AT_LEAST_ONE:
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -208,9 +208,6 @@ class MutationGraph(namedtuple("MutationGraph", "family nodes edges")):
         return self.cycle_rank == 0
 
 
-_MARKOV_ROOT = (1, 1, 1)
-_SUM_ROOT = (1, 1, 2, 4)
-
 # Largest max_weight generate_tree accepts.  Node counts grow as the square of
 # the bound's digit count; at this bound the Markov graph has 9,670 nodes and
 # takes about 0.2 s (2-core VM, CPython 3.11.7).
@@ -235,7 +232,7 @@ def generate_tree(family: Family | str, max_weight: int) -> MutationGraph:
                              "(node counts grow as the square of its digit count)")
 
     markov = family is Family.MARKOV
-    root = MarkovTriple(*_MARKOV_ROOT) if markov else SumQuadruple(*_SUM_ROOT)
+    root = MarkovTriple(1, 1, 1) if markov else SumQuadruple(1, 1, 2, 4)
     if max(root.canonical()) > max_weight:
         return MutationGraph(family, (), ())
 

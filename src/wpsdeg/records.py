@@ -43,15 +43,15 @@ def record_for_solution(weights, degree: int | None = None,
     """
     report = smoothability_report(weights)
     w = report.weights
-    volume = anticanonical_volume(w)
     moduli_dim = None
     if degree is not None:
         try:
             moduli_dim = moduli_component_dimension(w, degree, w.dim + 1 if q is None else q)
         except NonIntegralDegreeError:
             pass
+    # The equation gives sum = (n+1)m and product = m^n, so K^n = (-(n+1))^n.
     return SolutionRecord(
-        tuple(w), w.total, w.product, volume.numerator, volume.denominator,
+        tuple(w), w.total, w.product, (-(w.dim + 1)) ** w.dim, 1,
         str(report.classification) if report.classification else None,
         tuple(s.transverse.notation() for s in report.rigid_points),
         report.verdict_text, moduli_dim)

@@ -13,7 +13,6 @@ products of weights) overflow 64-bit integers at modest bounds and sit exactly
 on equality boundaries.
 """
 
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import add
@@ -99,13 +98,14 @@ def satisfies_degeneration_equation(weights) -> bool:
     return (n + 1) ** n * w.product == w.total ** n
 
 
-def anticanonical_volume(weights) -> Fraction:
+def anticanonical_volume(weights) -> "Fraction":
     """K^n of P(a_0, ..., a_n) as an exact rational: (-sum a_i)^n / prod a_i.
 
     The formula is the standard one for the well-formed model; callers who
     hold a non-well-formed tuple should normalize first if they want the
     intrinsic volume.
     """
+    from fractions import Fraction  # here: the CLI needs it only for a non-solution
     w = WeightTuple(weights)
     return Fraction((-w.total) ** w.dim, w.product)
 

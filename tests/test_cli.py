@@ -403,13 +403,29 @@ class TestPositiveOptions:
         with pytest.raises(SystemExit) as info:
             main(["classify", "1,1,1,1", "--format", "dot"])
         assert info.value.code == 2
-        assert capsys.readouterr().err.rstrip().endswith(
-            "error: format dot is only valid for the tree subcommand")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wpsdeg classify ")
+        assert "invalid choice: 'dot'" in err
 
     def test_positive_values_still_accepted(self, capsys):
         code, out = run(capsys, "classify", "1,1,1,1", "--degree", "1", "--q", "1")
         assert code == 0
         assert "moduli_dim" in out
+
+
+@pytest.mark.parametrize("command,formats", [
+    ("classify", "json,csv,table,md"),
+    ("enumerate", "json,csv,table,md"),
+    ("singular", "json,csv,table,md"),
+    ("lift", "json,csv,table,md"),
+    ("moduli-dim", "json,csv,table,md"),
+    ("tree", "json,csv,table,md,dot"),
+])
+def test_each_subcommand_offers_exactly_its_formats(capsys, command, formats):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"--format \{([^}]*)\}", capsys.readouterr().out)) == {formats}
 
 
 class TestCachedParser:

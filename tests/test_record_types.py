@@ -6,8 +6,8 @@ values hash equal, and its repr names every field.  It also equals the plain
 tuple of its fields, which frozen dataclasses did not.  Every constructor
 check keeps its error type and its exact message, whichever way in builds
 the record: the constructor, _make, _replace, copy.replace, copy.copy or
-pickle.  Importing the CLI pulls in none of __future__, dataclasses and
-inspect.
+pickle.  Importing the CLI pulls in none of __future__, dataclasses,
+inspect and fractions (nor decimal and numbers, which fractions loads).
 """
 
 import copy
@@ -160,13 +160,13 @@ def test_copy_and_pickle_go_through_the_constructor(cls, fields, message):
         assert str(info.value) == message
 
 
-# The stdlib modules the package imports.  Importing them first makes the
-# check independent of what they pull in on a given Python version.
-STDLIB = ("argparse", "bisect", "collections", "csv", "enum", "fractions",
-          "functools", "io", "itertools", "json", "math", "operator", "sys")
+# The stdlib modules the package imports at import time.  Importing them first
+# makes the check independent of what they pull in on a given Python version.
+STDLIB = ("argparse", "bisect", "collections", "csv", "enum", "functools", "io",
+          "itertools", "json", "math", "operator", "sys")
 
 
-def test_cli_import_adds_no_future_dataclasses_or_inspect():
+def test_cli_import_adds_no_future_dataclasses_inspect_or_fractions():
     script = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
               f"for name in {STDLIB!r}: __import__(name)\n"
               "before = set(sys.modules)\n"
@@ -175,4 +175,5 @@ def test_cli_import_adds_no_future_dataclasses_or_inspect():
     added = subprocess.run([sys.executable, "-S", "-c", script], check=True,
                            capture_output=True, text=True).stdout.split()
     assert "wpsdeg.cli" in added
-    assert not {"__future__", "dataclasses", "inspect"} & set(added), added
+    forbidden = {"__future__", "dataclasses", "inspect", "fractions", "decimal", "numbers"}
+    assert not forbidden & set(added), added

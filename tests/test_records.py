@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from conftest import from_csv_row, from_json_obj
 from wpsdeg import (
     SolutionRecord,
     WeightTuple,
+    anticanonical_volume,
+    enumerate_solutions,
     record_for_non_solution,
     record_for_solution,
     to_csv_row,
@@ -26,6 +29,20 @@ def test_solution_record_fields():
     assert record.rigid_points == ()
     assert record.verdict_text == "smoothable (ℙ²-type family)"
     assert record.moduli_dim is None
+
+
+@pytest.mark.parametrize("dim,bound", [(1, 5), (2, 25), (3, 2000), (4, 500), (5, 200)])
+def test_solution_volume_is_read_off_the_equation(dim, bound):
+    # record_for_solution writes (-(n+1))^n over 1; the rational formula agrees.
+    for w in enumerate_solutions(dim, bound):
+        volume = anticanonical_volume(w)
+        record = record_for_solution(w)
+        assert (record.volume_num, record.volume_den) == (volume.numerator, volume.denominator)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2, 4), (1, 1, 1, 2)])
+def test_anticanonical_volume_is_a_fraction(weights):
+    assert type(anticanonical_volume(weights)) is Fraction
 
 
 def test_record_with_moduli_dimension():
