@@ -22,10 +22,13 @@ class WeightTuple(tuple):
     """Sorted tuple of positive integer weights, length at least 2.
 
     Stored ascending: tuples are compared, hashed and deduplicated in this
-    canonical form throughout the package.
+    canonical form throughout the package.  A WeightTuple passed in is
+    returned as it is, since it is already sorted, checked and immutable.
     """
 
     def __new__(cls, weights):
+        if type(weights) is cls:
+            return weights
         ws = tuple(sorted(weights))
         if len(ws) < 2:
             raise ValueError("need at least two weights")
@@ -112,9 +115,11 @@ def anticanonical_volume(weights) -> "Fraction":
 
 # Largest coin-counting table denumerants fills, in entries.  At the limit,
 # denumerant(9_999_000, (1, 1, 1, 1, 2, 9_999_991)) sums out its 2 and takes
-# 1.5-2 s.  The slowest tuple measured there keeps its table, since its
-# reads would cost more: (1, 1, 2, 3, 1409, 1423) at the same degree takes
-# 3-4.5 s.  Both peak at about 550 MB RSS, nearly all of it the table's big
+# 1.5-1.7 s.  (1, 1, 2, 3, 1409, 1423) keeps its table, since its reads
+# would cost more, and takes 1.8-2.5 s: its 1409 is the seed, so no fill
+# runs at a wide stride.  Each wide filled weight past the seed adds about
+# 1 s: (1, 1409, 1423, 1427, 1429, 1433) takes 3.5-3.8 s.  The first two peak
+# at about 550 MB RSS, the third at 626 MB, nearly all of it the table's big
 # integers (CPython 3.11, shared 2-core VM).
 MAX_DENUMERANT_TABLE = 10**7
 
@@ -151,18 +156,24 @@ def denumerants(degrees, weights) -> list[int]:
     f(x) = sum_k C(x, k) * D^k f(0), Newton's forward differences of
     f(0..n) at its own rho, all integers.
 
-    The table starts as the smallest weight's own table, a 1 every a_0
-    entries, built by C list repetition of one period (cut to the table
-    when a_0 > top) instead of a slice fill.  The middle weights fill in C
-    slice operations.  Weight c turns each residue class mod c into its
-    prefix sums: down stride-c slices with accumulate when c * c <= top,
-    else row by row, adding the row c below.  A step writes at most _PIECE
-    new entries; a strided window starts on the last, already final, entry
-    of the one before.  So weight c takes at most sqrt(top) + top / _PIECE
-    + 1 interpreted steps.  Steps go up the table block by block, each
-    block of _PIECE rows finished before the next, so the integers a step
-    frees are reused at once and peak memory stays that of the plain
-    in-place loop.  Cost O(n * top) additions plus the reads; a table past
+    The table holds the weights not summed out (below), filled from the
+    largest down.  It starts as the largest one's own table, all ones on
+    its multiples, and is kept on the multiples of g, the gcd of the
+    weights filled so far, entry i standing for degree i * g: weights that
+    g divides sum only to multiples of g, so every other degree counts 0.
+    When weight c has h = gcd(g, c) < g, one slice assignment spreads the
+    table onto the multiples of h, and h becomes g.  Weight c then turns
+    each residue class mod c // g of the table into its prefix sums: down
+    stride-(c // g) slices with accumulate when (c // g)^2 <= top // g,
+    else row by row, adding the row c // g below.  A step writes at most
+    _PIECE new entries; a strided window starts on the last, already
+    final, entry of the one before.  So weight c takes at most sqrt(top)
+    + top / _PIECE + 1 interpreted steps.  Steps go up the table block by
+    block, each block of _PIECE rows finished before the next, so the
+    integers a step frees are reused at once and peak memory stays that of
+    the plain in-place loop; a spread briefly holds the old table and the
+    zeros it replaces beside the new one, about 2 * top // h pointers in
+    all.  Cost O(n * top) additions plus the reads; a table past
     MAX_DENUMERANT_TABLE raises CostLimitError before allocating.
 
     The largest weight a_n is never filled.  An exponent vector of degree
@@ -183,7 +194,11 @@ def denumerants(degrees, weights) -> list[int]:
     interpolated one.  So s is summed out when those reads add up to at
     most top (_sum_out_pays), and filled otherwise.  Every strided sum
     reads its entries _PIECE at a time, so a read copies no more pointers
-    at once than a fill step.
+    at once than a fill step.  A strided sum down from m in steps of c
+    reads only its terms on the grid: with h = gcd(g, c) there are none
+    unless h divides m, and then they are every (g // h)-th term from
+    m - j * c, where j = (m / h) * (c / h)^-1 mod g / h is the first that
+    g divides.  So the table is never spread onto every degree.
     """
     degrees = tuple(degrees)
     w = WeightTuple(weights)
@@ -205,22 +220,33 @@ def denumerants(degrees, weights) -> list[int]:
     smallest, *middle, largest = w
     pays = n >= 2 and _sum_out_pays(every, top, middle[-1], largest)
     second = middle.pop() if pays else None
-    seed = min(smallest, top + 1)
-    table = ([1] + [0] * (seed - 1)) * (top // seed + 1)
-    del table[top + 1:]
-    for c in middle:
-        if c * c <= top:
+    *filled, g = smallest, *middle
+    table = [1] * (top // g + 1)
+    for c in reversed(filled):
+        h = gcd(g, c)
+        if h < g:
+            grown = [0] * (top // h + 1)
+            grown[::g // h] = table
+            table, g = grown, h
+        c, last = c // g, top // g
+        if c * c <= last:
             span = _PIECE * c
-            for start in range(0, top + 1 - c, span):
+            for start in range(0, last + 1 - c, span):
                 for i in range(start, start + c):
                     table[i:i + span + 1:c] = accumulate(table[i:i + span + 1:c])
         else:
             step = min(_PIECE, c)
-            for i in range(c, top + 1, step):
+            for i in range(c, last + 1, step):
                 table[i:i + step] = map(add, table[i:i + step], table[i - c:i - c + step])
 
     def column(m, c):
-        # table[m] + table[m - c] + ... + table[m % c], _PIECE entries a slice
+        # the entries of degrees m, m - c, ..., m % c that lie on the grid
+        # (docstring), _PIECE entries a slice
+        h = gcd(g, c)
+        j = m // h * pow(c // h, -1, g // h) % (g // h)
+        if m % h or m < j * c:
+            return 0
+        m, c = (m - j * c) // g, c // h
         span = _PIECE * c
         if m < span:
             return sum(table[m::-c])

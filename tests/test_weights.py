@@ -94,6 +94,19 @@ class TestWeightTuple:
     def test_rejects_invalid_entries(self, bad):
         with pytest.raises((ValueError, TypeError)):
             WeightTuple(bad)
+        with pytest.raises((ValueError, TypeError)):
+            WeightTuple(iter(bad))
+
+    def test_weight_tuple_is_returned_as_it_is(self):
+        w = WeightTuple((4, 1, 2, 1))
+        assert WeightTuple(w) is w
+
+    @pytest.mark.parametrize("make", [list, iter, tuple])
+    def test_other_iterables_are_sorted_and_checked(self, make):
+        w = WeightTuple(make((4, 1, 2, 1)))
+        assert type(w) is WeightTuple and tuple(w) == (1, 1, 2, 4)
+        with pytest.raises(ValueError, match="positive integers"):
+            WeightTuple(make((4, 0, 2)))
 
 
 class TestWellFormed:
@@ -241,6 +254,38 @@ class TestDenumerant:
         force_route(monkeypatch, sum_out)
         self.test_matches_table_in_tiny_pieces(monkeypatch, 2, size, largest)
 
+    def test_matches_table_on_every_grid_tuple(self, palette=(2, 3, 4, 6, 8, 9, 12, 18)):
+        # Weights that share factors: most tables start on a grid coarser
+        # than 1 and are spread onto a finer one, some twice, and many end
+        # on a coarse grid, so the reads find their terms on it.
+        for size in range(2, 6):
+            for weights in combinations_with_replacement(palette, size):
+                top = (size + 1) * lcm(*weights)
+                table = denumerant_table(top, weights)
+                assert denumerants(range(top + 1), weights) == table, weights
+
+    @pytest.mark.parametrize("piece", [4096, 1, 2, 3])
+    @pytest.mark.parametrize("sum_out", [True, False], ids=["sum-out", "table"])
+    def test_both_routes_match_table_on_grid_tuples_in_tiny_pieces(self, monkeypatch,
+                                                                   sum_out, piece):
+        # lcm at most 12 keeps the tiny-piece reads of the summed-out route
+        # fast; 12, 6, 4 still spread by 2 and then by 3.
+        force_route(monkeypatch, sum_out)
+        monkeypatch.setattr("wpsdeg.weights._PIECE", piece)
+        self.test_matches_table_on_every_grid_tuple((2, 3, 4, 6, 12))
+
+    @pytest.mark.parametrize("sum_out", [True, False], ids=["sum-out", "table"])
+    @pytest.mark.parametrize("weights", [(4, 8, 9, 12), (4, 6, 8, 9), (6, 10, 15, 16)])
+    def test_tables_that_end_on_a_coarse_grid(self, monkeypatch, sum_out, weights):
+        # Summed out, (4, 8, 9, 12) fills 8 and 4 and ends on the multiples of
+        # 4, read at strides 9 and 12; (4, 6, 8, 9) ends on the even degrees
+        # either way; (6, 10, 15, 16) goes 10 -> 2 summed out and 15 -> 5 -> 1
+        # in the table route.  Degrees past (n + 1) * lcm are interpolated.
+        force_route(monkeypatch, sum_out)
+        top = (len(weights) + 2) * lcm(*weights)
+        table = denumerant_table(top, weights)
+        assert denumerants(range(-1, top + 1), weights) == [0, *table], weights
+
     @given(st.lists(st.sampled_from(small_lcm_weights), min_size=3, max_size=6),
            st.data())
     @settings(max_examples=100, deadline=None)
@@ -311,9 +356,9 @@ class TestDenumerant:
         with pytest.raises(CostLimitError, match="degree 10000000 on"):
             denumerants(iter([10**7]), (1, 10**7 + 1))
 
-    def test_smallest_weight_past_the_table(self):
-        # The seed repeats one period of the smallest weight; past the table
-        # that period is cut to the table, not allocated in full.
+    def test_seed_weight_past_the_table(self):
+        # The seed is the largest filled weight's ones on its multiples up to
+        # top: past the table one entry, and the reads take no other.
         tracemalloc.start()
         try:
             assert denumerants((0, 5, 7), (10**7, 10**7 + 1)) == [1, 0, 0]
@@ -330,11 +375,18 @@ class TestDenumerant:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_is_that_of_the_plain_table(self, monkeypatch):
+    @pytest.mark.parametrize("w", [(1, 1, 1, 1, 2, 300007), (1, 6, 10, 15, 300007),
+                                   (2, 4, 6, 300007)],
+                             ids=["one-grid", "two-spreads", "even-grid"])
+    def test_peak_memory_is_that_of_the_plain_table(self, monkeypatch, w):
         # Whole residue classes as slices would copy up to `top` pointers and
-        # integers per step, about twice the table's own peak here.  The rule
-        # sums out the 2 here; the forced table route fills it.
-        w, degree = (1, 1, 1, 1, 2, 300007), 10**5
+        # integers per step, about twice the table's own peak with (1, 1, 1,
+        # 1, 2).  (1, 6, 10, 15) is spread onto a finer grid twice in either
+        # route.  (2, 4, 6) ends on the even degrees and is read there: a
+        # spread onto every degree would hold 1.3 times the plain table.  The
+        # rule sums out the second-largest weight; the forced table route
+        # fills it.
+        degree = 10**5
         plain = self.peak(denumerant_table, degree, w)
         picked = spy_route(monkeypatch)
         assert self.peak(denumerant, degree, w) <= 1.1 * plain
